@@ -22,12 +22,23 @@ integer kernel moments B(s, k+1): the monomial route is exact in exact
 arithmetic but amplifies rounding like 4^degree, so it is used only as a
 low-degree cross-check in the test suite.
 
+Folding the interpolation into the moments gives one weight vector per
+(sigma, n), the classical product-integration rule:
+
+    w_i = sum_j a_j T_j(2u_i - 1),   a = (2/n) q(sigma), a_0 halved,
+    int_0^1 u^(sigma-1) g(u) du ~ sum_i w_i g(u_i).
+
+The weights are cached per (sigma, n) in a bounded ``functools.lru_cache``,
+so every estimate is one n-term sum over the samples, with no matrix
+product.  First-kind nodes are symmetric, 1 - u_i = u_(n-1-i), so the
+kernel (1-u)^(s-1) uses the weights of sigma = s reversed.
+
 When the integrand is known to carry a power factor (y - x0)^p at the
 lower endpoint (every symbolic power term does), passing
 ``singular_exponent=p`` splits [0, 1] at 1/2: on the right panel the
-kernel moments absorb the singular-oscillatory kernel while the cofactor
+kernel weights absorb the singular-oscillatory kernel while the cofactor
 is analytic; on the left panel the roles swap and u^p is absorbed by the
-power moments q_j(p+1).  Both cofactors are then analytic in a Bernstein
+power weights of sigma = p+1.  Both cofactors are then analytic in a Bernstein
 ellipse with parameter 3 + 2*sqrt(2), so the interpolation converges
 geometrically regardless of p and s.
 
@@ -39,6 +50,7 @@ central differences of the inner integral with Richardson extrapolation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -122,34 +134,10 @@ def build_moments(s: complex, n: int) -> MomentTable:
 # Chebyshev machinery
 # --------------------------------------------------------------------------
 
-_COS_MATRIX_CACHE: dict[int, np.ndarray] = {}
-_MOMENT_CACHE: dict[tuple[complex, int], np.ndarray] = {}
-_MOMENT_CACHE_LIMIT = 1024
-
-
-def _cheb_theta(n: int) -> np.ndarray:
-    return (np.arange(n) + 0.5) * (math.pi / n)
-
 
 def cheb_nodes01(n: int) -> np.ndarray:
     """Chebyshev points of the first kind mapped to (0, 1), decreasing."""
-    return (1.0 + np.cos(_cheb_theta(n))) / 2.0
-
-
-def _cheb_coefficients(values: np.ndarray) -> np.ndarray:
-    """Chebyshev series coefficients of the interpolant through ``values``.
-
-    ``values`` are samples at :func:`cheb_nodes01` of the same size.
-    """
-    n = len(values)
-    mat = _COS_MATRIX_CACHE.get(n)
-    if mat is None:
-        theta = _cheb_theta(n)
-        mat = np.cos(np.outer(np.arange(n), theta))
-        _COS_MATRIX_CACHE[n] = mat
-    coeffs = (2.0 / n) * (mat @ np.asarray(values, dtype=complex))
-    coeffs[0] *= 0.5
-    return coeffs
+    return (1.0 + np.cos((np.arange(n) + 0.5) * (math.pi / n))) / 2.0
 
 
 def chebyshev_power_moments(sigma: complex, n: int) -> np.ndarray:
@@ -161,10 +149,6 @@ def chebyshev_power_moments(sigma: complex, n: int) -> np.ndarray:
     sigma = complex(sigma)
     if not sigma.real > 0:
         raise DomainError(f"power moments need Re(sigma) > 0, got {sigma!r}")
-    key = (sigma, n)
-    cached = _MOMENT_CACHE.get(key)
-    if cached is not None:
-        return cached
     q = np.empty(n, dtype=complex)
     q[0] = 1.0 / sigma
     if n > 1:
@@ -177,21 +161,35 @@ def chebyshev_power_moments(sigma: complex, n: int) -> np.ndarray:
             - 2.0 * q[j]
             + q[j - 1] * (sigma - (j - 1.0)) / (j - 1.0)
         ) * (j + 1.0) / (j + 1.0 + sigma)
-    q.setflags(write=False)
-    if len(_MOMENT_CACHE) >= _MOMENT_CACHE_LIMIT:
-        _MOMENT_CACHE.clear()
-    _MOMENT_CACHE[key] = q
     return q
 
 
+# A grid needs one entry per order (the kernel's, and p+1 per power term) and
+# degree: 16 for three power terms doubling 32 -> 256.  128 entries keep
+# several grids' worth and bound the cache at 512 KB.
+@functools.lru_cache(maxsize=128)
+def _weights(sigma: complex, n: int) -> np.ndarray:
+    """Product-integration weights: sum(w * g(cheb_nodes01(n))) is the exact
+    integral of u^(sigma-1) times the interpolant of g on [0, 1].
+
+    w_i = sum_j a_j T_j(2u_i - 1) with a = (2/n) q(sigma), a_0 halved.
+    """
+    a = (2.0 / n) * chebyshev_power_moments(sigma, n)
+    a[0] *= 0.5
+    # T_j(2u_i - 1) = cos(j (2i+1) pi / 2n), its argument reduced exactly.
+    phase = np.outer(2 * np.arange(n) + 1, np.arange(n)) % (4 * n)
+    w = np.sum(np.cos(phase * (math.pi / (2 * n))) * a, axis=1)
+    w.setflags(write=False)
+    return w
+
+
+def _sample(g: Callable[[float], complex], n: int) -> np.ndarray:
+    return np.fromiter((g(float(u)) for u in cheb_nodes01(n)), dtype=complex, count=n)
+
+
 def _kernel_panel(g: Callable[[float], complex], s: complex, n: int) -> complex:
-    """int_0^1 (1-u)^(s-1) g(u) du for smooth g."""
-    u = cheb_nodes01(n)
-    values = np.fromiter((g(float(x)) for x in u), dtype=complex, count=n)
-    coeffs = _cheb_coefficients(values)
-    q = chebyshev_power_moments(s, n)
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return complex(np.sum(coeffs * signs * q))
+    """int_0^1 (1-u)^(s-1) g(u) du for smooth g (power weights reversed)."""
+    return complex(np.sum(_weights(s, n)[::-1] * _sample(g, n)))
 
 
 def _power_panel(
@@ -200,23 +198,14 @@ def _power_panel(
     """int_0^split (1-u)^(s-1) u^p h(u) du for smooth h, Re(p) > -1.
 
     Rescaled to v = u/split, the kernel factor becomes analytic and joins
-    the cofactor; v^p is integrated exactly via the power moments.
+    the cofactor; v^p is integrated exactly via the power weights.
     """
-    v = cheb_nodes01(n)
-    values = np.fromiter(
-        (
-            complex_pow(1.0 - split * float(t), s - 1.0) * h(split * float(t))
-            for t in v
-        ),
-        dtype=complex,
-        count=n,
-    )
-    coeffs = _cheb_coefficients(values)
-    q = chebyshev_power_moments(p + 1.0, n)
-    return complex(complex_pow(split, p + 1.0) * np.sum(coeffs * q))
+    values = _sample(lambda v: complex_pow(1.0 - split * v, s - 1.0) * h(split * v), n)
+    return complex(complex_pow(split, p + 1.0) * np.sum(_weights(p + 1.0, n) * values))
 
 
 _SPLIT = 0.5
+_EPS = float(np.finfo(float).eps)
 
 
 def _integral01(
@@ -254,11 +243,13 @@ def _converge(estimate: Callable[[int], complex], cfg: QuadConfig) -> complex:
     while n < cfg.max_degree:
         n = min(2 * n, cfg.max_degree)
         cur = estimate(n)
-        diff = abs(cur - prev)
         denom = max(abs(cur), abs(prev))
-        if diff == 0.0 or diff <= cfg.rel_tol * denom:
+        # Estimates that agree to the last bit still leave a rounding unit
+        # unverified, so a rel_tol below machine epsilon is never met.
+        diff = max(abs(cur - prev), _EPS * denom)
+        if diff <= cfg.rel_tol * denom:
             return cur
-        err = diff / denom if denom > 0 else math.inf
+        err = diff / denom
         if err < best_err:
             best_err, best = err, cur
         prev = cur

@@ -1,6 +1,8 @@
 """Routing layer: closed vs numeric backends over grids, per-point isolation."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -16,6 +18,7 @@ from complexorder import (
     parse_function,
     parse_operator,
 )
+from complexorder.quadrature import _weights
 
 
 def rel(a, b):
@@ -166,3 +169,41 @@ def test_result_order_matches_xs_order():
     xs = [2.0, 0.5, 1.0]
     results = apply(expr, f, xs, Method.CLOSED)
     assert [r.x for r in results] == xs
+
+
+def test_concurrent_grids_match_serial_run():
+    # Threads share the quadrature weight cache, starting empty so that they
+    # race on its misses; every result must equal the serial run's exactly.
+    grids = [
+        (parse_operator("J^(0.7+0.4i)"), parse_function("2*x^(0.5) + x^(1+1i)"), Method.BOTH),
+        (
+            parse_operator("D^(0.8)"),
+            OpaqueFunction(fn=lambda y: y * math.cos(3.0 * y) if y > 0 else 0.0),
+            Method.NUMERIC,
+        ),
+        (
+            parse_operator("J^(0.5+0.3i)", lower_limit=-math.inf),
+            parse_function("exp(x)", lower_limit=-math.inf),
+            Method.NUMERIC,
+        ),
+    ]
+    xs = [0.3, 0.9, 1.5, 2.1]
+
+    def run(job):
+        expr, f, method = grids[job % len(grids)]
+        return [(r.status, r.value) for r in apply(expr, f, xs, method)]
+
+    jobs = range(8 * len(grids))
+    _weights.cache_clear()
+    serial = [run(job) for job in jobs]
+    _weights.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, job) for job in jobs]
+            concurrent = [fut.result(timeout=120) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(status is EvalStatus.OK for row in serial for status, _ in row)
+    assert concurrent == serial

@@ -20,6 +20,9 @@ from complexorder import (
     integrate_numeric,
     integrate_power,
 )
+from complexorder.quadrature import _weights, cheb_nodes01
+
+from oracles import CHEBYSHEV_MOMENT_REFERENCES
 
 
 def rel(a, b):
@@ -120,6 +123,25 @@ def test_chebyshev_moments_agree_with_monomial_route_at_low_degree():
         mu = np.array(build_moments(s, len(poly.coef)).moments)
         value_mono = np.sum(np.asarray(poly.coef) * mu)
         assert rel(value_cheb, value_mono) <= 1e-8
+
+
+def test_chebyshev_moments_match_frozen_references():
+    for sigma, expected in CHEBYSHEV_MOMENT_REFERENCES.items():
+        q = chebyshev_power_moments(sigma, len(expected))
+        assert np.max(np.abs(q - np.array(expected))) <= 2e-13 * abs(expected[0])
+
+
+def test_weights_integrate_low_powers_exactly():
+    # The rule is exact for polynomials of degree < n: u^k against u^(s-1)
+    # gives 1/(s+k), and the reversed weights against the kernel
+    # (1-u)^(s-1) give B(s, k+1).
+    for n in (32, 64):
+        u = cheb_nodes01(n)
+        for s in (0.5 + 0j, 0.3 + 2j, 0.05 + 5j, 2.7 - 0.4j, 10 + 0j):
+            w = _weights(s, n)
+            for k in range(8):
+                assert rel(np.sum(w * u**k), 1 / (s + k)) <= 1e-14
+                assert rel(np.sum(w[::-1] * u**k), beta(s, k + 1.0)) <= 1e-12
 
 
 # ------------------------------------------------------------- integration
