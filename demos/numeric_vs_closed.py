@@ -7,7 +7,7 @@ integrates a Chebyshev interpolant against exact kernel moments instead.
 Run:  python3 demos/numeric_vs_closed.py
 """
 
-import numpy as np
+import math
 
 from complexorder import (
     QuadConfig,
@@ -39,7 +39,7 @@ print(f"  rel err = {abs(numeric-exact)/abs(exact):.2e}")
 
 # The same machinery on an opaque smooth function: J^0.8 of y*cos(y).
 print("\nopaque integrand y*cos(y), order 0.8 (no structure declared)")
-value = integrate_numeric(lambda y: complex(y * np.cos(y), 0.0), 0.8, 2.0, 0.0)
+value = integrate_numeric(lambda y: complex(y * math.cos(y), 0.0), 0.8, 2.0, 0.0)
 print("  J^0.8(y cos y)(2) =", value)
 
 # Convergence control: degree doubles until two estimates agree to rel_tol.

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import closed_form as _closed
@@ -19,10 +19,6 @@ from .operators import Branch, OperatorExpr, normalize
 from .special import complex_pow
 
 __all__ = ["EvalResult", "EvalStatus", "Method", "apply"]
-
-#: Floor used in the relative-error denominator.
-TINY_FLOOR = 1e-300
-
 
 class Method(enum.Enum):
     CLOSED = "closed"
@@ -70,16 +66,10 @@ def _numeric_point(net, f, x: float, cfg: _quad.QuadConfig) -> complex:
             if net.branch is Branch.INTEGRATE:
                 return f.exp_coef * _quad.integrate_exp_lower_inf(net.sigma, x, cfg)
             order = -net.sigma
-            inner_cfg = replace(cfg, rel_tol=max(cfg.rel_tol * 1e-3, 1e-13))
-
-            def inner(u: float) -> complex:
-                try:
-                    return _quad.integrate_exp_lower_inf(net.k - order, u, inner_cfg)
-                except ConvergenceError as exc:
-                    if exc.achieved_rel_err <= cfg.rel_tol:
-                        return exc.best_estimate
-                    raise
-
+            inner = _quad._relaxed_inner(
+                lambda u, inner_cfg: _quad.integrate_exp_lower_inf(net.k - order, u, inner_cfg),
+                cfg,
+            )
             return f.exp_coef * _quad.central_derivative(inner, x, net.k, cfg)
 
         total = 0j
@@ -192,7 +182,8 @@ def apply(
         abs_err = rel_err = None
         if value is not None and reference is not None:
             abs_err = abs(value - reference)
-            rel_err = abs_err / max(abs(reference), TINY_FLOOR)
+            # A zero reference has no relative error; abs_err carries it.
+            rel_err = abs_err / abs(reference) if reference != 0 else None
         status = num_status or ref_status or EvalStatus.OK
         results.append(
             EvalResult(

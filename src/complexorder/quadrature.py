@@ -28,10 +28,17 @@ Folding the interpolation into the moments gives one weight vector per
     w_i = sum_j a_j T_j(2u_i - 1),   a = (2/n) q(sigma), a_0 halved,
     int_0^1 u^(sigma-1) g(u) du ~ sum_i w_i g(u_i).
 
-The weights are cached per (sigma, n) in a bounded ``functools.lru_cache``,
-so every estimate is one n-term sum over the samples, with no matrix
-product.  First-kind nodes are symmetric, 1 - u_i = u_(n-1-i), so the
-kernel (1-u)^(s-1) uses the weights of sigma = s reversed.
+The weights are cached per (sigma, n) as a tuple in a bounded
+``functools.lru_cache``, so every estimate is one n-term sum over the
+samples: each product is rounded once and the real and imaginary parts
+are summed exactly with ``math.fsum``.  On a cache miss the weights are
+built from a table of cos(m pi / 2n), m < 4n, read at the exactly reduced
+argument m = j (2i+1) mod 4n.  First-kind nodes are symmetric,
+1 - u_i = u_(n-1-i), and T_j(2u_(n-1-i) - 1) = (-1)^j T_j(2u_i - 1), so
+one even-j and one odd-j partial sum per node (each summed with fsum)
+give both w_i and w_(n-1-i); the same symmetry lets the kernel
+(1-u)^(s-1) use the weights of sigma = s reversed.  The module uses only
+the standard library.
 
 When the integrand is known to carry a power factor (y - x0)^p at the
 lower endpoint (every symbolic power term does), passing
@@ -52,10 +59,11 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
-from typing import Callable
-
-import numpy as np
+from math import fsum
+from operator import mul
+from typing import Callable, Sequence
 
 from .errors import ConvergenceError, DomainError
 from .special import complex_pow, gamma
@@ -135,12 +143,18 @@ def build_moments(s: complex, n: int) -> MomentTable:
 # --------------------------------------------------------------------------
 
 
-def cheb_nodes01(n: int) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _nodes(n: int) -> tuple[float, ...]:
+    step = math.pi / n
+    return tuple((1.0 + math.cos((i + 0.5) * step)) / 2.0 for i in range(n))
+
+
+def cheb_nodes01(n: int) -> tuple[float, ...]:
     """Chebyshev points of the first kind mapped to (0, 1), decreasing."""
-    return (1.0 + np.cos((np.arange(n) + 0.5) * (math.pi / n))) / 2.0
+    return _nodes(n)
 
 
-def chebyshev_power_moments(sigma: complex, n: int) -> np.ndarray:
+def chebyshev_power_moments(sigma: complex, n: int) -> list[complex]:
     """q_j(sigma) = int_0^1 w^(sigma-1) T_j(2w-1) dw for j = 0..n-1.
 
     Forward three-term recurrence from exact rational seeds; requires
@@ -149,47 +163,70 @@ def chebyshev_power_moments(sigma: complex, n: int) -> np.ndarray:
     sigma = complex(sigma)
     if not sigma.real > 0:
         raise DomainError(f"power moments need Re(sigma) > 0, got {sigma!r}")
-    q = np.empty(n, dtype=complex)
-    q[0] = 1.0 / sigma
+    q = [1.0 / sigma]
     if n > 1:
-        q[1] = (sigma - 1.0) / (sigma * (sigma + 1.0))
+        q.append((sigma - 1.0) / (sigma * (sigma + 1.0)))
     if n > 2:
-        q[2] = (sigma * sigma - 5.0 * sigma + 2.0) / (sigma * (sigma + 1.0) * (sigma + 2.0))
+        q.append((sigma * sigma - 5.0 * sigma + 2.0) / (sigma * (sigma + 1.0) * (sigma + 2.0)))
     for j in range(2, n - 1):
-        q[j + 1] = (
-            -2.0 / (j * j - 1.0)
-            - 2.0 * q[j]
-            + q[j - 1] * (sigma - (j - 1.0)) / (j - 1.0)
-        ) * (j + 1.0) / (j + 1.0 + sigma)
+        q.append(
+            (-2.0 / (j * j - 1.0) - 2.0 * q[j] + q[j - 1] * (sigma - (j - 1.0)) / (j - 1.0))
+            * (j + 1.0)
+            / (j + 1.0 + sigma)
+        )
     return q
 
 
 # A grid needs one entry per order (the kernel's, and p+1 per power term) and
 # degree: 16 for three power terms doubling 32 -> 256.  128 entries keep
-# several grids' worth and bound the cache at 512 KB.
+# several grids' worth and bound the cache at about 1.3 MB.
 @functools.lru_cache(maxsize=128)
-def _weights(sigma: complex, n: int) -> np.ndarray:
-    """Product-integration weights: sum(w * g(cheb_nodes01(n))) is the exact
-    integral of u^(sigma-1) times the interpolant of g on [0, 1].
+def _weights(sigma: complex, n: int) -> tuple[complex, ...]:
+    """Product-integration weights: the sum of w_i g(cheb_nodes01(n)[i]) is
+    the exact integral of u^(sigma-1) times the interpolant of g on [0, 1].
 
     w_i = sum_j a_j T_j(2u_i - 1) with a = (2/n) q(sigma), a_0 halved.
+    T_j(2u_i - 1) = cos(j (2i+1) pi / 2n) is read from a table of
+    cos(m pi / 2n), m < 4n, at m = j (2i+1) mod 4n (the argument reduced
+    exactly), and T_j(2u_(n-1-i) - 1) = (-1)^j T_j(2u_i - 1), so one even
+    and one odd partial sum give both w_i and w_(n-1-i).  Each partial sum
+    is summed exactly (fsum) in its real and imaginary parts.
     """
-    a = (2.0 / n) * chebyshev_power_moments(sigma, n)
+    a = [c * (2.0 / n) for c in chebyshev_power_moments(sigma, n)]
     a[0] *= 0.5
-    # T_j(2u_i - 1) = cos(j (2i+1) pi / 2n), its argument reduced exactly.
-    phase = np.outer(2 * np.arange(n) + 1, np.arange(n)) % (4 * n)
-    w = np.sum(np.cos(phase * (math.pi / (2 * n))) * a, axis=1)
-    w.setflags(write=False)
-    return w
+    even_re = [c.real for c in a[0::2]]
+    even_im = [c.imag for c in a[0::2]]
+    odd_re = [c.real for c in a[1::2]]
+    odd_im = [c.imag for c in a[1::2]]
+    # The table repeated past the largest index j (2i+1) < n^2, so that
+    # each node's row is a strided slice.
+    table = [math.cos(m * (math.pi / (2 * n))) for m in range(4 * n)] * (n // 4 + 1)
+    w = [0j] * n
+    for i in range((n + 1) // 2):
+        step = 2 * i + 1
+        t_even = table[0 : step * n : 2 * step]
+        t_odd = table[step : step * n : 2 * step]
+        even = complex(fsum(map(mul, even_re, t_even)), fsum(map(mul, even_im, t_even)))
+        odd = complex(fsum(map(mul, odd_re, t_odd)), fsum(map(mul, odd_im, t_odd)))
+        w[n - 1 - i] = even - odd
+        w[i] = even + odd  # the middle node of an odd n keeps this one
+    return tuple(w)
 
 
-def _sample(g: Callable[[float], complex], n: int) -> np.ndarray:
-    return np.fromiter((g(float(u)) for u in cheb_nodes01(n)), dtype=complex, count=n)
+def _dot(w: Sequence[complex], values: Sequence[complex]) -> complex:
+    """sum(w_i * values_i): each product rounded once, its real and
+    imaginary parts summed exactly."""
+    products = list(map(mul, w, values))
+    return complex(fsum([z.real for z in products]), fsum([z.imag for z in products]))
+
+
+def _sample(g: Callable[[float], complex], n: int) -> list[complex]:
+    return [g(u) for u in _nodes(n)]
 
 
 def _kernel_panel(g: Callable[[float], complex], s: complex, n: int) -> complex:
     """int_0^1 (1-u)^(s-1) g(u) du for smooth g (power weights reversed)."""
-    return complex(np.sum(_weights(s, n)[::-1] * _sample(g, n)))
+    return _dot(_weights(s, n)[::-1], _sample(g, n))
 
 
 def _power_panel(
@@ -201,11 +238,11 @@ def _power_panel(
     the cofactor; v^p is integrated exactly via the power weights.
     """
     values = _sample(lambda v: complex_pow(1.0 - split * v, s - 1.0) * h(split * v), n)
-    return complex(complex_pow(split, p + 1.0) * np.sum(_weights(p + 1.0, n) * values))
+    return complex_pow(split, p + 1.0) * _dot(_weights(p + 1.0, n), values)
 
 
 _SPLIT = 0.5
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 
 def _integral01(
@@ -333,13 +370,15 @@ def central_derivative(
         )
     offsets = [k / 2.0 - i for i in range(k + 1)]
     weights = [(-1) ** i * math.comb(k, i) for i in range(k + 1)]
+    # An even k has a centre node x + 0*h, the same at every level.
+    centre = complex(func(x)) if k % 2 == 0 else None
     levels = cfg.richardson_levels
     estimates = []
     h = h0
     for _ in range(levels):
         acc = 0j
         for w, o in zip(weights, offsets):
-            acc += w * complex(func(x + o * h))
+            acc += w * (centre if o == 0 else complex(func(x + o * h)))
         estimates.append(acc / h**k)
         h /= 2.0
     # Richardson in powers of h^2 (central differences expand evenly).
@@ -348,6 +387,29 @@ def central_derivative(
         for r in range(levels - 1, m - 1, -1):
             estimates[r] = (factor * estimates[r] - estimates[r - 1]) / (factor - 1.0)
     return estimates[-1]
+
+
+def _relaxed_inner(
+    integral: Callable[[float, QuadConfig], complex], cfg: QuadConfig
+) -> Callable[[float], complex]:
+    """u -> integral(u, inner_cfg), the inner integral of a k-th difference.
+
+    The inner quadrature runs at cfg.rel_tol tightened by 1e-3 (floor
+    1e-13), because the k-th difference amplifies inner noise by h^-k; if
+    only cfg.rel_tol is reachable within the degree budget, the best inner
+    estimate is used instead of failing.
+    """
+    inner_cfg = replace(cfg, rel_tol=max(cfg.rel_tol * 1e-3, 1e-13))
+
+    def inner(u: float) -> complex:
+        try:
+            return integral(u, inner_cfg)
+        except ConvergenceError as exc:
+            if exc.achieved_rel_err <= cfg.rel_tol:
+                return exc.best_estimate
+            raise
+
+    return inner
 
 
 def differentiate_numeric(
@@ -364,11 +426,8 @@ def differentiate_numeric(
 
     Requires an integer k > Re(s) >= 0 so that the inner integral order
     k - s has positive real part.  The result is independent of the
-    admissible k (up to the numerical tolerances).  The inner quadrature
-    runs at a tolerance tightened by 1e-3 (floor 1e-13) because the k-th
-    difference amplifies inner noise by h^-k; if only the caller's
-    rel_tol is reachable within the degree budget, the best inner
-    estimate is used instead of failing.
+    admissible k (up to the numerical tolerances).  The inner integral
+    runs at a tightened tolerance (see ``_relaxed_inner``).
     """
     s = complex(s)
     if cfg is None:
@@ -377,18 +436,12 @@ def differentiate_numeric(
         raise DomainError(f"differentiate_numeric needs Re(s) >= 0, got {s!r}")
     if k < 1 or k <= s.real:
         raise DomainError(f"need integer k > Re(s); got k={k}, s={s!r}")
-    inner_cfg = replace(cfg, rel_tol=max(cfg.rel_tol * 1e-3, 1e-13))
-
-    def inner(u: float) -> complex:
-        try:
-            return integrate_numeric(
-                f, k - s, u, x0, inner_cfg, singular_exponent=singular_exponent
-            )
-        except ConvergenceError as exc:
-            if exc.achieved_rel_err <= cfg.rel_tol:
-                return exc.best_estimate
-            raise
-
+    inner = _relaxed_inner(
+        lambda u, inner_cfg: integrate_numeric(
+            f, k - s, u, x0, inner_cfg, singular_exponent=singular_exponent
+        ),
+        cfg,
+    )
     return central_derivative(inner, x, k, cfg, lower_limit=x0)
 
 

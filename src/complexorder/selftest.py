@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from typing import Callable
-
-import numpy as np
 
 from .closed_form import differentiate_power, integrate_power
 from .functions import CausalFunction, PowerTerm
@@ -202,6 +201,6 @@ def run_selftests(seed: int = 0, name_filter: str | None = None) -> list[CheckRe
     for name, check in CHECKS:
         if name_filter and name_filter not in name:
             continue
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         results.append(check(rng))
     return results

@@ -84,6 +84,21 @@ def test_eval_json_mirrors_csv_fields(capture):
     assert rows[0]["status"] == "ok"
 
 
+def test_zero_reference_rel_err_is_empty_in_csv_and_null_in_json(capture):
+    argv = ["eval", "--op", "D^(1.5)", "--fn", "x^(0.5)", "--at", "1", "--method", "both"]
+    code, out, _ = capture(argv)
+    assert code == 0
+    row = dict(zip(*(line.split(",") for line in out.strip().splitlines())))
+    assert row["ref_re"] == row["ref_im"] == "0.0"
+    assert row["rel_err"] == ""
+    assert float(row["abs_err"]) <= 1e-9
+    code, out, _ = capture(argv + ["--format", "json"])
+    assert code == 0
+    (obj,) = json.loads(out)
+    assert obj["rel_err"] is None
+    assert obj["abs_err"] == float(row["abs_err"])
+
+
 def test_eval_numeric_format_has_three_columns(capture):
     code, out, _ = capture(
         ["eval", "--op", "J^(1)", "--fn", "x", "--at", "2", "--method", "numeric"]
@@ -196,3 +211,26 @@ def test_selftest_deterministic_across_processes():
     second = subprocess.run(cmd, capture_output=True)
     assert first.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_runtime_does_not_import_numpy():
+    script = "\n".join(
+        [
+            "import contextlib, io, sys",
+            "import complexorder",
+            "import complexorder.cli as cli",
+            "runs = [",
+            "    ['eval', '--op', 'J^(0.5)', '--fn', 'x', '--at', '1', '--method', 'closed'],",
+            "    ['eval', '--op', 'D^(0.5+0.3i)', '--fn', 'x^(1.5)', '--at', '1', '--method', 'both'],",
+            "    ['eval', '--op', 'D^(1)', '--fn', 'exp(x)', '--x0', '-inf', '--at', '1',",
+            "     '--method', 'both'],",
+            "    ['selftest', '--filter', 'gamma'],",
+            "]",
+            "for argv in runs:",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert cli.run(argv) == 0, argv",
+            "assert 'numpy' not in sys.modules, 'numpy was imported'",
+        ]
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

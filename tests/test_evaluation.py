@@ -138,6 +138,17 @@ def test_rel_err_definition():
     assert r.rel_err == r.abs_err / max(abs(r.reference), 1e-300)
 
 
+def test_zero_reference_has_no_rel_err():
+    # Gamma(1.5)/Gamma(0) = 0: D^1.5 annihilates x^0.5, so the closed
+    # reference is exactly zero and only the absolute error is meaningful.
+    (r,) = apply(parse_operator("D^(1.5)"), parse_function("x^(0.5)"), [1.0], Method.BOTH)
+    assert r.reference == 0
+    assert r.rel_err is None
+    assert r.abs_err == abs(r.value)
+    assert r.abs_err <= 1e-9
+    assert r.status is EvalStatus.OK
+
+
 def test_multi_term_numeric_sums_terms():
     expr = parse_operator("J^(0.75)")
     f = parse_function("(2+0i)*x^(0.5) + x^(1+1i)")

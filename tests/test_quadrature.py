@@ -20,7 +20,7 @@ from complexorder import (
     integrate_numeric,
     integrate_power,
 )
-from complexorder.quadrature import _weights, cheb_nodes01
+from complexorder.quadrature import _relaxed_inner, _weights, central_derivative, cheb_nodes01
 
 from oracles import CHEBYSHEV_MOMENT_REFERENCES
 
@@ -136,9 +136,9 @@ def test_weights_integrate_low_powers_exactly():
     # gives 1/(s+k), and the reversed weights against the kernel
     # (1-u)^(s-1) give B(s, k+1).
     for n in (32, 64):
-        u = cheb_nodes01(n)
+        u = np.asarray(cheb_nodes01(n))
         for s in (0.5 + 0j, 0.3 + 2j, 0.05 + 5j, 2.7 - 0.4j, 10 + 0j):
-            w = _weights(s, n)
+            w = np.asarray(_weights(s, n))
             for k in range(8):
                 assert rel(np.sum(w * u**k), 1 / (s + k)) <= 1e-14
                 assert rel(np.sum(w[::-1] * u**k), beta(s, k + 1.0)) <= 1e-12
@@ -305,6 +305,38 @@ def test_differentiate_k_independence():
         a = differentiate_numeric(monomial(p), s, x, 0.0, k, singular_exponent=p)
         b = differentiate_numeric(monomial(p), s, x, 0.0, k + 1, singular_exponent=p)
         assert rel(a, b) <= 1e-5
+
+
+def test_central_derivative_evaluates_the_centre_node_once():
+    # Three Richardson levels: k + 1 nodes per level, but an even k's centre
+    # node x + 0*h is the same at every level.
+    for k, expected_calls in ((1, 6), (2, 7), (3, 12)):
+        calls = []
+
+        def cubic(y):
+            calls.append(y)
+            return y**3
+
+        got = central_derivative(cubic, 1.5, k)
+        assert len(calls) == expected_calls
+        assert rel(got, (3 * 1.5**2, 6 * 1.5, 6.0)[k - 1]) <= 1e-8
+
+
+def test_relaxed_inner_tightens_and_accepts_only_the_callers_tolerance():
+    cfg = QuadConfig(rel_tol=1e-9)
+    seen = []
+
+    def integral(u, inner_cfg):
+        seen.append(inner_cfg.rel_tol)
+        raise ConvergenceError("no", best_estimate=u + 1j, achieved_rel_err=u)
+
+    inner = _relaxed_inner(integral, cfg)
+    assert inner(1e-10) == 1e-10 + 1j
+    with pytest.raises(ConvergenceError):
+        inner(1e-8)
+    assert seen == pytest.approx([1e-12, 1e-12], rel=1e-15)
+    assert _relaxed_inner(integral, QuadConfig(rel_tol=1e-12))(0.0) == 1j
+    assert seen[-1] == 1e-13
 
 
 def test_differentiate_numeric_preconditions():
