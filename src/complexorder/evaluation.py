@@ -60,17 +60,16 @@ def _numeric_point(net, f, x: float, cfg: _quad.QuadConfig) -> complex:
 
     if isinstance(f, CausalFunction):
         if not math.isfinite(x0):
-            # Pure exponential with lower limit -inf.
+            # Pure exponential with lower limit -inf: the integral of order
+            # k + sigma (k = 0 on the integrate branch) is e^x times its
+            # value at 0, and D^k leaves e^x unchanged.
             if f.exp_coef == 0:
                 return 0j
-            if net.branch is Branch.INTEGRATE:
-                return f.exp_coef * _quad.integrate_exp_lower_inf(net.sigma, x, cfg)
-            order = -net.sigma
-            inner = _quad._relaxed_inner(
-                lambda u, inner_cfg: _quad.integrate_exp_lower_inf(net.k - order, u, inner_cfg),
-                cfg,
+            return (
+                f.exp_coef
+                * math.exp(x)
+                * _quad.integrate_exp_lower_inf(net.sigma + net.k, 0.0, cfg)
             )
-            return f.exp_coef * _quad.central_derivative(inner, x, net.k, cfg)
 
         total = 0j
         for term in f.terms:
@@ -168,16 +167,6 @@ def apply(
             num_status = EvalStatus.CONVERGENCE_ERROR
         except (DomainError, UnsupportedError) as exc:
             num_status = _status_of(exc)
-
-        if method is Method.NUMERIC:
-            results.append(
-                EvalResult(
-                    x=x,
-                    value=value,
-                    status=EvalStatus.OK if num_status is None else num_status,
-                )
-            )
-            continue
 
         abs_err = rel_err = None
         if value is not None and reference is not None:

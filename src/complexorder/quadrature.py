@@ -51,8 +51,10 @@ geometrically regardless of p and s.
 
 The degree doubles from ``cfg.degree`` until two successive estimates
 agree to ``cfg.rel_tol`` (or ``cfg.max_degree`` is reached, raising
-ConvergenceError with the best estimate seen).  Derivatives use k-fold
-central differences of the inner integral with Richardson extrapolation.
+ConvergenceError with the best estimate seen).  Derivatives of power sums
+and opaque integrands use k-fold central differences of the inner integral
+with Richardson extrapolation; e^x from -inf needs none, because the
+integral commutes with translation there (see ``integrate_exp_lower_inf``).
 """
 
 from __future__ import annotations
@@ -82,19 +84,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Quadrature and differentiation controls.
+    """Quadrature controls.
 
     degree/max_degree bound the interpolation size (equal values pin the
     degree, skipping the convergence loop); rel_tol is the successive
-    agreement target; fd_step_scale and richardson_levels steer the
-    finite-difference derivative.
+    agreement target.
     """
 
     degree: int = 32
     max_degree: int = 256
     rel_tol: float = 1e-9
-    fd_step_scale: float = 1e-2
-    richardson_levels: int = 3
 
     def __post_init__(self):
         if self.degree < 1:
@@ -105,10 +104,6 @@ class QuadConfig:
             )
         if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if not self.fd_step_scale > 0:
-            raise ValueError(f"fd_step_scale must be > 0, got {self.fd_step_scale}")
-        if self.richardson_levels < 1:
-            raise ValueError(f"richardson_levels must be >= 1, got {self.richardson_levels}")
 
 
 @dataclass(frozen=True)
@@ -243,6 +238,10 @@ def _power_panel(
 
 _SPLIT = 0.5
 _EPS = sys.float_info.epsilon
+# Finite differences: base step relative to max(1, |x|), and the number of
+# step sizes h, h/2, h/4, ... that Richardson extrapolation combines.
+_FD_STEP_SCALE = 0.01
+_RICHARDSON_LEVELS = 3
 
 
 def _integral01(
@@ -345,22 +344,18 @@ def central_derivative(
     func: Callable[[float], complex],
     x: float,
     k: int,
-    cfg: QuadConfig | None = None,
     lower_limit: float = -math.inf,
 ) -> complex:
     """k-th derivative of ``func`` at ``x`` by central differences.
 
-    Richardson extrapolation over cfg.richardson_levels step sizes
-    (h, h/2, h/4, ...) with base step h = fd_step_scale * max(1, |x|);
-    for k >= 3 the base step is widened by 2^(k-2) to keep the h^-k noise
-    amplification below the truncation budget.  The widest stencil must
-    stay inside (lower_limit, inf).
+    Richardson extrapolation over three step sizes h, h/2, h/4 with base
+    step h = 0.01 * max(1, |x|); for k >= 3 the base step is widened by
+    2^(k-2) to keep the h^-k noise amplification below the truncation
+    budget.  The widest stencil must stay inside (lower_limit, inf).
     """
-    if cfg is None:
-        cfg = QuadConfig()
     if k < 1:
         raise DomainError(f"derivative order k must be >= 1, got {k}")
-    h0 = cfg.fd_step_scale * max(1.0, abs(x))
+    h0 = _FD_STEP_SCALE * max(1.0, abs(x))
     if k >= 3:
         h0 *= 2.0 ** (k - 2)
     if math.isfinite(lower_limit) and x - (k / 2.0) * h0 <= lower_limit:
@@ -372,19 +367,18 @@ def central_derivative(
     weights = [(-1) ** i * math.comb(k, i) for i in range(k + 1)]
     # An even k has a centre node x + 0*h, the same at every level.
     centre = complex(func(x)) if k % 2 == 0 else None
-    levels = cfg.richardson_levels
     estimates = []
     h = h0
-    for _ in range(levels):
+    for _ in range(_RICHARDSON_LEVELS):
         acc = 0j
         for w, o in zip(weights, offsets):
             acc += w * (centre if o == 0 else complex(func(x + o * h)))
         estimates.append(acc / h**k)
         h /= 2.0
     # Richardson in powers of h^2 (central differences expand evenly).
-    for m in range(1, levels):
+    for m in range(1, _RICHARDSON_LEVELS):
         factor = 4.0**m
-        for r in range(levels - 1, m - 1, -1):
+        for r in range(_RICHARDSON_LEVELS - 1, m - 1, -1):
             estimates[r] = (factor * estimates[r] - estimates[r - 1]) / (factor - 1.0)
     return estimates[-1]
 
@@ -442,28 +436,18 @@ def differentiate_numeric(
         ),
         cfg,
     )
-    return central_derivative(inner, x, k, cfg, lower_limit=x0)
+    return central_derivative(inner, x, k, lower_limit=x0)
 
 
 def integrate_exp_lower_inf(s: complex, x: float, cfg: QuadConfig | None = None) -> complex:
-    """Integral of order ``s`` of e^y on (-inf, x].
+    """Integral of order ``s`` (Re(s) > 0) of e^y on (-inf, x].
 
     The infinite tail is truncated at x - T with T = 40 + 10 |Im(s)|
-    (the discarded tail is below e^-40 relative), and the remaining
-    interval is normalized to [0, 1] like any finite-limit integral.
-    For integer s this reproduces e^x.
+    (the discarded tail is below e^-40 relative), and the rest is an
+    ordinary finite-limit integral.  T depends on s only, so the rule
+    commutes with translation: the value is e^x times the value at x = 0,
+    which is how a derivative of e^x from -inf is taken without finite
+    differences.  For integer s this reproduces e^x.
     """
-    s = complex(s)
-    if cfg is None:
-        cfg = QuadConfig()
-    if not s.real > 0:
-        raise DomainError(f"integrate_exp_lower_inf needs Re(s) > 0, got {s!r}")
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    T = 40.0 + 10.0 * abs(s.imag)
-
-    def g(u: float) -> complex:
-        return complex(math.exp(x - T * (1.0 - u)))
-
-    integral = _converge(lambda n: _kernel_panel(g, s, n), cfg)
-    return complex_pow(T, s) / gamma(s) * integral
+    T = 40.0 + 10.0 * abs(complex(s).imag)
+    return integrate_numeric(math.exp, s, x, x - T, cfg)

@@ -174,6 +174,30 @@ def test_pure_imaginary_net_order_route():
     assert r.rel_err <= 1e-6
 
 
+def test_exp_lower_inf_derivatives_meet_rel_tol():
+    # D^k J^(k-s) of c e^x from -inf is c e^x times one quadrature at 0,
+    # so status ok must carry rel_tol even at k = 3.
+    f = parse_function("(1.5-0.5i)*exp(x)", lower_limit=-math.inf)
+    xs = [0.01, 0.5, 1.0, 2.0]
+    for op in ("D^(2)", "D^(2.5-1i)"):
+        expr = parse_operator(op, lower_limit=-math.inf)
+        for r in apply(expr, f, xs, Method.NUMERIC):
+            assert r.status is EvalStatus.OK
+            assert rel(r.value, (1.5 - 0.5j) * math.exp(r.x)) <= 1e-9
+
+
+def test_numeric_rows_are_both_rows_without_reference():
+    expr = parse_operator("D^(0.5+0.3i)")
+    f = parse_function("x^(1.5) + (2-1i)*x^(0.25)")
+    xs = [0.001, 0.3, 1.7]
+    both = apply(expr, f, xs, Method.BOTH)
+    numeric = apply(expr, f, xs, Method.NUMERIC)
+    assert [r.status for r in numeric] == [r.status for r in both]
+    assert [r.value for r in numeric] == [r.value for r in both]
+    assert all(r.reference is r.abs_err is r.rel_err is None for r in numeric)
+    assert both[0].status is EvalStatus.DOMAIN_ERROR
+
+
 def test_result_order_matches_xs_order():
     expr = parse_operator("J^(1)")
     f = parse_function("x")

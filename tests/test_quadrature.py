@@ -49,8 +49,6 @@ def test_quad_config_validation():
         QuadConfig(degree=64, max_degree=32)
     with pytest.raises(ValueError):
         QuadConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadConfig(richardson_levels=0)
 
 
 def test_build_moments_unit_order():
@@ -370,9 +368,21 @@ def test_exp_lower_inf_complex_order_truncation_widens():
     assert math.isfinite(got.real) and math.isfinite(got.imag)
 
 
+def test_exp_lower_inf_commutes_with_translation():
+    # The truncation T depends on the order only, so the rule translates.
+    cfg = QuadConfig(rel_tol=1e-12)
+    for s in (0.5, 1 + 1j, 2.5 - 2j, 0.2 + 3j):
+        at_zero = integrate_exp_lower_inf(s, 0.0, cfg)
+        for x in (-3.0, 0.7, 2.0, 10.0):
+            got = integrate_exp_lower_inf(s, x, cfg)
+            assert rel(got, math.exp(x) * at_zero) <= 1e-13
+
+
 def test_exp_lower_inf_domain():
     with pytest.raises(DomainError):
         integrate_exp_lower_inf(-1.0, 0.0)
+    with pytest.raises(DomainError):
+        integrate_exp_lower_inf(0.5, math.inf)
 
 
 def test_moment_table_is_frozen_value():
