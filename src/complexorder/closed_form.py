@@ -6,7 +6,8 @@ multiplicatively:
     J^s: (x-x0)^p  ->  Gamma(p+1)/Gamma(s+p+1) * (x-x0)^(p+s)      Re(s) > 0
     D^s: (x-x0)^p  ->  Gamma(p+1)/Gamma(p-s+1) * (x-x0)^(p-s)      Re(s) >= 0
 
-Both coefficients are formed in log space; a pole in the denominator
+With J^sigma = D^-sigma both are one rule in the signed order sigma.  The
+coefficient is formed in log space; a pole in the denominator
 Gamma yields an exactly zero coefficient, which is how D^2 annihilates x.
 With x0 = -inf the only closed form available is e^x, an eigenfunction of
 integer net orders.
@@ -31,6 +32,14 @@ __all__ = [
 INTEGER_ORDER_TOL = 1e-12
 
 
+def _power_image(p: complex, sigma: complex) -> tuple[complex, complex]:
+    """Gamma(p+1)/Gamma(p+sigma+1) and p+sigma: J^sigma = D^-sigma applied to
+    the power p, for either sign of Re(sigma).  Requires Re(p) > -1."""
+    if p.real <= -1.0:
+        raise DomainError(f"a power term needs Re(p) > -1, got p = {p!r}")
+    return gamma_ratio(p + 1.0, p + sigma + 1.0), p + sigma
+
+
 def integrate_power(p: complex, s: complex) -> tuple[complex, complex]:
     """Coefficient and exponent of J^s applied to the power p.
 
@@ -38,11 +47,9 @@ def integrate_power(p: complex, s: complex) -> tuple[complex, complex]:
     Re(s) > 0.
     """
     p, s = complex(p), complex(s)
-    if p.real <= -1.0:
-        raise DomainError(f"integrate_power needs Re(p) > -1, got p = {p!r}")
     if s.real <= 0.0:
         raise DomainError(f"integrate_power needs Re(s) > 0, got s = {s!r}")
-    return gamma_ratio(p + 1.0, s + p + 1.0), p + s
+    return _power_image(p, s)
 
 
 def differentiate_power(p: complex, s: complex) -> tuple[complex, complex]:
@@ -53,14 +60,12 @@ def differentiate_power(p: complex, s: complex) -> tuple[complex, complex]:
     The coefficient is exactly 0 when p - s + 1 hits a Gamma pole.
     """
     p, s = complex(p), complex(s)
-    if p.real <= -1.0:
-        raise DomainError(f"differentiate_power needs Re(p) > -1, got p = {p!r}")
     if s.real < 0.0:
         raise DomainError(
             f"differentiate_power needs Re(s) >= 0, got s = {s!r}; "
             "use integrate_power for net integrals"
         )
-    return gamma_ratio(p + 1.0, p - s + 1.0), p - s
+    return _power_image(p, -s)
 
 
 def _is_integer(z: complex) -> bool:
@@ -85,10 +90,7 @@ def apply_closed(expr: OperatorExpr, f: CausalFunction) -> CausalFunction:
     sigma = net.sigma
     new_terms = []
     for term in f.terms:
-        if net.branch is Branch.INTEGRATE:
-            coef, exponent = integrate_power(term.exponent, sigma)
-        else:
-            coef, exponent = differentiate_power(term.exponent, -sigma)
+        coef, exponent = _power_image(term.exponent, sigma)
         new_terms.append(PowerTerm(term.coef * coef, exponent))
 
     exp_coef = 0j

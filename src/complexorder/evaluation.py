@@ -45,6 +45,12 @@ class EvalResult:
     status: EvalStatus = EvalStatus.OK
 
 
+# Failures confined to one grid point, which gets their status and no value:
+# a best estimate is that of one term or inner integral, not the point's
+# value, and an overflow (e^x past x = 709.78) is a domain error.
+_POINT_FAILURES = (ConvergenceError, DomainError, UnsupportedError, OverflowError)
+
+
 def _status_of(exc: Exception) -> EvalStatus:
     if isinstance(exc, ConvergenceError):
         return EvalStatus.CONVERGENCE_ERROR
@@ -70,28 +76,25 @@ def _numeric_point(net, f, x: float, cfg: _quad.QuadConfig) -> complex:
                 * math.exp(x)
                 * _quad.integrate_exp_lower_inf(net.sigma + net.k, 0.0, cfg)
             )
+        # Each power term declares its exponent, so its singularity at x0
+        # is integrated exactly.
+        parts = [
+            (lambda y, _c=t.coef, _p=t.exponent: _c * complex_pow(y - x0, _p), t.exponent)
+            for t in f.terms
+        ]
+    else:
+        # Opaque handle: no structural information to exploit.
+        parts = [(f, None)]
 
-        total = 0j
-        for term in f.terms:
-            coef, p = term.coef, term.exponent
-
-            def term_fn(y: float, _c=coef, _p=p) -> complex:
-                return _c * complex_pow(y - x0, _p)
-
-            if net.branch is Branch.INTEGRATE:
-                total += _quad.integrate_numeric(
-                    term_fn, net.sigma, x, x0, cfg, singular_exponent=p
-                )
-            else:
-                total += _quad.differentiate_numeric(
-                    term_fn, -net.sigma, x, x0, net.k, cfg, singular_exponent=p
-                )
-        return total
-
-    # Opaque handle: no structural information to exploit.
-    if net.branch is Branch.INTEGRATE:
-        return _quad.integrate_numeric(f, net.sigma, x, x0, cfg)
-    return _quad.differentiate_numeric(f, -net.sigma, x, x0, net.k, cfg)
+    total = 0j
+    for g, p in parts:
+        if net.k == 0:
+            total += _quad.integrate_numeric(g, net.sigma, x, x0, cfg, singular_exponent=p)
+        else:
+            total += _quad.differentiate_numeric(
+                g, -net.sigma, x, x0, net.k, cfg, singular_exponent=p
+            )
+    return total
 
 
 def apply(
@@ -145,7 +148,7 @@ def apply(
             else:
                 try:
                     reference = closed_image(x)
-                except DomainError as exc:
+                except _POINT_FAILURES as exc:
                     ref_status = _status_of(exc)
 
         if method is Method.CLOSED:
@@ -162,10 +165,7 @@ def apply(
         num_status: EvalStatus | None = None
         try:
             value = _numeric_point(net, f, x, cfg)
-        except ConvergenceError as exc:
-            value = exc.best_estimate
-            num_status = EvalStatus.CONVERGENCE_ERROR
-        except (DomainError, UnsupportedError) as exc:
+        except _POINT_FAILURES as exc:
             num_status = _status_of(exc)
 
         abs_err = rel_err = None

@@ -50,8 +50,9 @@ ellipse with parameter 3 + 2*sqrt(2), so the interpolation converges
 geometrically regardless of p and s.
 
 The degree doubles from ``cfg.degree`` until two successive estimates
-agree to ``cfg.rel_tol`` (or ``cfg.max_degree`` is reached, raising
-ConvergenceError with the best estimate seen).  Derivatives of power sums
+agree to ``cfg.rel_tol``, so every returned value rests on an agreeing
+pair; if none agrees by degree 256, ConvergenceError carries the best
+estimate seen, normalized like a returned value.  Derivatives of power sums
 and opaque integrands use k-fold central differences of the inner integral
 with Richardson extrapolation; e^x from -inf needs none, because the
 integral commutes with translation there (see ``integrate_exp_lower_inf``).
@@ -82,26 +83,25 @@ __all__ = [
 ]
 
 
+# The degree-doubling ladder stops here.
+_MAX_DEGREE = 256
+
+
 @dataclass(frozen=True)
 class QuadConfig:
     """Quadrature controls.
 
-    degree/max_degree bound the interpolation size (equal values pin the
-    degree, skipping the convergence loop); rel_tol is the successive
-    agreement target.
+    degree is the starting interpolation size, 1 <= degree < 256, so the
+    doubling ladder up to degree 256 has at least two rungs; rel_tol is
+    the successive agreement target.
     """
 
     degree: int = 32
-    max_degree: int = 256
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
-        if self.max_degree < self.degree:
-            raise ValueError(
-                f"max_degree ({self.max_degree}) must be >= degree ({self.degree})"
-            )
+        if not 1 <= self.degree < _MAX_DEGREE:
+            raise ValueError(f"degree must be >= 1 and < {_MAX_DEGREE}, got {self.degree}")
         if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
 
@@ -265,19 +265,13 @@ def _integral01(
 
 
 def _converge(estimate: Callable[[int], complex], cfg: QuadConfig) -> complex:
-    """Double the degree until successive estimates agree to cfg.rel_tol.
-
-    With degree == max_degree the single fixed-degree estimate is returned
-    unconditionally (the hook for linearity-style structural tests).
-    """
+    """Double the degree until successive estimates agree to cfg.rel_tol."""
     n = cfg.degree
     prev = estimate(n)
-    if n >= cfg.max_degree:
-        return prev
     best = prev
     best_err = math.inf
-    while n < cfg.max_degree:
-        n = min(2 * n, cfg.max_degree)
+    while n < _MAX_DEGREE:
+        n = min(2 * n, _MAX_DEGREE)
         cur = estimate(n)
         denom = max(abs(cur), abs(prev))
         # Estimates that agree to the last bit still leave a rounding unit
@@ -290,7 +284,7 @@ def _converge(estimate: Callable[[int], complex], cfg: QuadConfig) -> complex:
             best_err, best = err, cur
         prev = cur
     raise ConvergenceError(
-        f"quadrature did not reach rel_tol={cfg.rel_tol:g} by degree {cfg.max_degree} "
+        f"quadrature did not reach rel_tol={cfg.rel_tol:g} by degree {_MAX_DEGREE} "
         f"(best successive agreement {best_err:.3e})",
         best_estimate=best,
         achieved_rel_err=best_err,
@@ -315,7 +309,8 @@ def integrate_numeric(
 
     ``f`` must be bounded on [x0, x] unless ``singular_exponent`` declares
     a power factor (y - x0)^p with Re(p) > -1 and smooth cofactor, in which
-    case the singular factor is integrated analytically.
+    case the singular factor is integrated analytically.  A ConvergenceError
+    carries the best estimate of this integral (normalization included).
     """
     s = complex(s)
     if cfg is None:
@@ -336,8 +331,13 @@ def integrate_numeric(
     def g(u: float) -> complex:
         return complex(f(x0 + u * scale))
 
-    integral = _converge(lambda n: _integral01(g, s, n, p), cfg)
-    return complex_pow(scale, s) / gamma(s) * integral
+    factor = complex_pow(scale, s) / gamma(s)
+    try:
+        integral = _converge(lambda n: _integral01(g, s, n, p), cfg)
+    except ConvergenceError as exc:
+        exc.best_estimate = factor * exc.best_estimate
+        raise
+    return factor * integral
 
 
 def central_derivative(
@@ -383,29 +383,6 @@ def central_derivative(
     return estimates[-1]
 
 
-def _relaxed_inner(
-    integral: Callable[[float, QuadConfig], complex], cfg: QuadConfig
-) -> Callable[[float], complex]:
-    """u -> integral(u, inner_cfg), the inner integral of a k-th difference.
-
-    The inner quadrature runs at cfg.rel_tol tightened by 1e-3 (floor
-    1e-13), because the k-th difference amplifies inner noise by h^-k; if
-    only cfg.rel_tol is reachable within the degree budget, the best inner
-    estimate is used instead of failing.
-    """
-    inner_cfg = replace(cfg, rel_tol=max(cfg.rel_tol * 1e-3, 1e-13))
-
-    def inner(u: float) -> complex:
-        try:
-            return integral(u, inner_cfg)
-        except ConvergenceError as exc:
-            if exc.achieved_rel_err <= cfg.rel_tol:
-                return exc.best_estimate
-            raise
-
-    return inner
-
-
 def differentiate_numeric(
     f: Callable[[float], complex],
     s: complex,
@@ -420,8 +397,11 @@ def differentiate_numeric(
 
     Requires an integer k > Re(s) >= 0 so that the inner integral order
     k - s has positive real part.  The result is independent of the
-    admissible k (up to the numerical tolerances).  The inner integral
-    runs at a tightened tolerance (see ``_relaxed_inner``).
+    admissible k (up to the numerical tolerances).  The inner integral runs
+    at rel_tol tightened by 1e-3 (floor 1e-13), because the k-th difference
+    amplifies inner noise by h^-k; an inner integral that reaches only
+    rel_tol itself within the degree budget contributes its best estimate
+    instead of failing.
     """
     s = complex(s)
     if cfg is None:
@@ -430,12 +410,18 @@ def differentiate_numeric(
         raise DomainError(f"differentiate_numeric needs Re(s) >= 0, got {s!r}")
     if k < 1 or k <= s.real:
         raise DomainError(f"need integer k > Re(s); got k={k}, s={s!r}")
-    inner = _relaxed_inner(
-        lambda u, inner_cfg: integrate_numeric(
-            f, k - s, u, x0, inner_cfg, singular_exponent=singular_exponent
-        ),
-        cfg,
-    )
+    inner_cfg = replace(cfg, rel_tol=max(cfg.rel_tol * 1e-3, 1e-13))
+
+    def inner(u: float) -> complex:
+        try:
+            return integrate_numeric(
+                f, k - s, u, x0, inner_cfg, singular_exponent=singular_exponent
+            )
+        except ConvergenceError as exc:
+            if exc.achieved_rel_err <= cfg.rel_tol:
+                return exc.best_estimate
+            raise
+
     return central_derivative(inner, x, k, lower_limit=x0)
 
 

@@ -188,6 +188,43 @@ def test_exit_code_convergence(capture):
     assert code == 3
 
 
+def test_exit_code_degree_without_a_doubling_rung(capture):
+    # --degree 256 would leave one unverified estimate; it is rejected
+    # instead of reported ok.
+    code, out, err = capture(
+        [
+            "eval",
+            "--op", "J^(0.5)",
+            "--fn", "x^(0.3+1i)",
+            "--at", "1",
+            "--rel-tol", "1e-30",
+            "--degree", "256",
+        ]
+    )
+    assert code == 2
+    assert out == ""
+    assert "degree" in err
+
+
+@pytest.mark.parametrize("method", ["numeric", "both", "closed"])
+def test_exit_code_overflow_is_domain_error(capture, method):
+    code, out, _ = capture(
+        [
+            "eval",
+            "--op", "J^(1)",
+            "--fn", "exp(x)",
+            "--x0", "-inf",
+            "--grid", "700:720:3",
+            "--method", method,
+        ]
+    )
+    assert code == 2
+    rows = out.strip().splitlines()[1:]
+    assert [row.split(",")[1] == "" for row in rows] == [False, True, True]
+    if method == "both":
+        assert [row.split(",")[-1] for row in rows] == ["ok", "domain_error", "domain_error"]
+
+
 def test_out_file(tmp_path, capture):
     path = tmp_path / "rows.csv"
     code, out, _ = capture(

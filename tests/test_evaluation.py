@@ -86,6 +86,34 @@ def test_per_point_isolation_of_domain_errors():
     assert results[2].rel_err <= 1e-9
 
 
+def test_convergence_error_rows_carry_no_value():
+    # A best estimate is that of one term, not the value at the point.
+    expr = parse_operator("J^(0.5)")
+    f = parse_function("x^(0.3+1i)")
+    (r,) = apply(expr, f, [1.0], Method.BOTH, QuadConfig(rel_tol=1e-30))
+    assert r.status is EvalStatus.CONVERGENCE_ERROR
+    assert r.value is None
+    assert r.abs_err is None and r.rel_err is None
+    assert r.reference is not None
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_overflow_at_a_point_is_a_domain_error(method):
+    # e^x overflows a double past x = 709.78, in the closed reference and
+    # in the numeric value alike; the rest of the grid is unaffected.
+    expr = parse_operator("J^(1)", lower_limit=-math.inf)
+    f = parse_function("exp(x)", lower_limit=-math.inf)
+    results = apply(expr, f, [700.0, 710.0, 720.0], method)
+    assert [r.status for r in results] == [
+        EvalStatus.OK,
+        EvalStatus.DOMAIN_ERROR,
+        EvalStatus.DOMAIN_ERROR,
+    ]
+    assert [r.value is None for r in results] == [False, True, True]
+    (r,) = apply(parse_operator("J^(1)"), parse_function("x^(300)"), [1e3], method)
+    assert r.status is EvalStatus.DOMAIN_ERROR
+
+
 def test_exp_numeric_integer_order_both():
     expr = parse_operator("J^(1)", lower_limit=-math.inf)
     f = parse_function("exp(x)", lower_limit=-math.inf)

@@ -20,7 +20,8 @@ from complexorder import (
     integrate_numeric,
     integrate_power,
 )
-from complexorder.quadrature import _relaxed_inner, _weights, central_derivative, cheb_nodes01
+from complexorder import quadrature
+from complexorder.quadrature import _integral01, _weights, central_derivative, cheb_nodes01
 
 from oracles import CHEBYSHEV_MOMENT_REFERENCES
 
@@ -46,7 +47,7 @@ def test_quad_config_validation():
     with pytest.raises(ValueError):
         QuadConfig(degree=0)
     with pytest.raises(ValueError):
-        QuadConfig(degree=64, max_degree=32)
+        QuadConfig(degree=256)  # the doubling ladder needs a second rung
     with pytest.raises(ValueError):
         QuadConfig(rel_tol=0.0)
 
@@ -182,20 +183,17 @@ def test_integrate_oracle_agreement_100():
 
 
 def test_integrate_linearity_at_fixed_degree():
-    # degree == max_degree pins the rule, making linearity structural.
-    cfg = QuadConfig(degree=48, max_degree=48)
+    # One fixed-degree rule is a linear functional of the samples.
     s = 0.6 + 0.4j
     f = monomial(1.2 + 0.3j)
     g = monomial(0.4 - 1.0j)
     a, b = 2.0 - 1.0j, -0.7 + 0.2j
 
-    def combo(y):
-        return a * f(y) + b * g(y)
+    def combo(u):
+        return a * f(u) + b * g(u)
 
-    lhs = integrate_numeric(combo, s, 1.7, 0.0, cfg)
-    rhs = a * integrate_numeric(f, s, 1.7, 0.0, cfg) + b * integrate_numeric(
-        g, s, 1.7, 0.0, cfg
-    )
+    lhs = _integral01(combo, s, 48, None)
+    rhs = a * _integral01(f, s, 48, None) + b * _integral01(g, s, 48, None)
     assert rel(lhs, rhs) <= 1e-12
 
 
@@ -252,6 +250,18 @@ def test_convergence_error_carries_best_estimate():
     assert err.best_estimate is not None
     assert math.isfinite(err.achieved_rel_err)
     assert err.achieved_rel_err > 1e-12
+
+
+def test_convergence_error_best_estimate_is_the_integral():
+    # The best estimate carries the normalization (x-x0)^s/Gamma(s) of a
+    # returned value, so it is within its own agreement of the exact
+    # J^0.5 of the step, 3.5^0.5/Gamma(1.5).
+    step = lambda y: 1.0 if y > 0.5 else 0.0
+    with pytest.raises(ConvergenceError) as excinfo:
+        integrate_numeric(step, 0.5, 4.0, 0.0)
+    err = excinfo.value
+    exact = 3.5**0.5 / math.gamma(1.5)
+    assert rel(err.best_estimate, exact) <= err.achieved_rel_err
 
 
 def test_convergence_bound_inequality():
@@ -320,20 +330,26 @@ def test_central_derivative_evaluates_the_centre_node_once():
         assert rel(got, (3 * 1.5**2, 6 * 1.5, 6.0)[k - 1]) <= 1e-8
 
 
-def test_relaxed_inner_tightens_and_accepts_only_the_callers_tolerance():
-    cfg = QuadConfig(rel_tol=1e-9)
+def test_relaxed_inner_tightens_and_accepts_only_the_callers_tolerance(monkeypatch):
+    # Every inner integral fails with best estimate u^2; the derivative
+    # uses it only while its agreement meets the caller's rel_tol.
     seen = []
+    achieved = [1e-10]
 
-    def integral(u, inner_cfg):
+    def integral(f, s, u, x0, inner_cfg, *, singular_exponent=None):
         seen.append(inner_cfg.rel_tol)
-        raise ConvergenceError("no", best_estimate=u + 1j, achieved_rel_err=u)
+        raise ConvergenceError("no", best_estimate=u * u + 0j, achieved_rel_err=achieved[0])
 
-    inner = _relaxed_inner(integral, cfg)
-    assert inner(1e-10) == 1e-10 + 1j
+    monkeypatch.setattr(quadrature, "integrate_numeric", integral)
+    cfg = QuadConfig(rel_tol=1e-9)
+    got = differentiate_numeric(monomial(1), 0.5, 1.5, 0.0, 1, cfg)
+    assert rel(got, 3.0) <= 1e-12
+    achieved[0] = 1e-8
     with pytest.raises(ConvergenceError):
-        inner(1e-8)
-    assert seen == pytest.approx([1e-12, 1e-12], rel=1e-15)
-    assert _relaxed_inner(integral, QuadConfig(rel_tol=1e-12))(0.0) == 1j
+        differentiate_numeric(monomial(1), 0.5, 1.5, 0.0, 1, cfg)
+    assert seen == pytest.approx([1e-12] * len(seen), rel=1e-15)
+    achieved[0] = 0.0
+    differentiate_numeric(monomial(1), 0.5, 1.5, 0.0, 1, QuadConfig(rel_tol=1e-12))
     assert seen[-1] == 1e-13
 
 
