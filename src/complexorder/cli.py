@@ -47,7 +47,6 @@ def _build_parser() -> _Parser:
     ev.add_argument(
         "--method", choices=["closed", "numeric", "both"], default="both"
     )
-    ev.add_argument("--degree", type=int, help="starting interpolation size")
     ev.add_argument("--rel-tol", type=float, dest="rel_tol", help="quadrature tolerance")
     ev.add_argument("--format", choices=["csv", "json"], default="csv")
     ev.add_argument("--out", help="output file (default: stdout)")
@@ -148,13 +147,8 @@ def _run_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    cfg_kwargs = {}
-    if args.degree is not None:
-        cfg_kwargs["degree"] = args.degree
-    if args.rel_tol is not None:
-        cfg_kwargs["rel_tol"] = args.rel_tol
     try:
-        cfg = QuadConfig(**cfg_kwargs)
+        cfg = QuadConfig() if args.rel_tol is None else QuadConfig(rel_tol=args.rel_tol)
         results = apply(op, fn, xs, method=Method(args.method), cfg=cfg)
     except (ComplexOrderError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

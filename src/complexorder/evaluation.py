@@ -6,6 +6,7 @@ error status in its row instead of aborting the rest of the grid.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -47,7 +48,8 @@ class EvalResult:
 
 # Failures confined to one grid point, which gets their status and no value:
 # a best estimate is that of one term or inner integral, not the point's
-# value, and an overflow (e^x past x = 709.78) is a domain error.
+# value, and an overflow (e^x past x = 709.78, or a non-finite value) is a
+# domain error.
 _POINT_FAILURES = (ConvergenceError, DomainError, UnsupportedError, OverflowError)
 
 
@@ -57,6 +59,14 @@ def _status_of(exc: Exception) -> EvalStatus:
     if isinstance(exc, UnsupportedError):
         return EvalStatus.UNSUPPORTED
     return EvalStatus.DOMAIN_ERROR
+
+
+def _finite(z: complex) -> complex:
+    """``z``, or DomainError when a part of it is inf or nan (an overflow
+    inside a product, e.g. c e^x near x = 709, yields these silently)."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"value {z!r} is not finite")
+    return z
 
 
 def _numeric_point(net, f, x: float, cfg: _quad.QuadConfig) -> complex:
@@ -147,7 +157,7 @@ def apply(
                 ref_status = _status_of(closed_failure)
             else:
                 try:
-                    reference = closed_image(x)
+                    reference = _finite(closed_image(x))
                 except _POINT_FAILURES as exc:
                     ref_status = _status_of(exc)
 
@@ -164,7 +174,7 @@ def apply(
         value: complex | None = None
         num_status: EvalStatus | None = None
         try:
-            value = _numeric_point(net, f, x, cfg)
+            value = _finite(_numeric_point(net, f, x, cfg))
         except _POINT_FAILURES as exc:
             num_status = _status_of(exc)
 

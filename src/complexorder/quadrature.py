@@ -49,13 +49,14 @@ power weights of sigma = p+1.  Both cofactors are then analytic in a Bernstein
 ellipse with parameter 3 + 2*sqrt(2), so the interpolation converges
 geometrically regardless of p and s.
 
-The degree doubles from ``cfg.degree`` until two successive estimates
-agree to ``cfg.rel_tol``, so every returned value rests on an agreeing
-pair; if none agrees by degree 256, ConvergenceError carries the best
-estimate seen, normalized like a returned value.  Derivatives of power sums
-and opaque integrands use k-fold central differences of the inner integral
-with Richardson extrapolation; e^x from -inf needs none, because the
-integral commutes with translation there (see ``integrate_exp_lower_inf``).
+The degree walks the fixed ladder 32, 64, 128, 256 until two successive
+estimates agree to ``cfg.rel_tol``, so every returned value rests on an
+agreeing pair; if none agrees by degree 256, ConvergenceError carries the
+best estimate seen, normalized like a returned value.  Derivatives of
+power sums and opaque integrands use k-fold central differences of the
+inner integral with Richardson extrapolation; e^x from -inf needs none,
+because the integral commutes with translation there (see
+``integrate_exp_lower_inf``).
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import fsum
 from operator import mul
 from typing import Callable, Sequence
@@ -83,25 +84,19 @@ __all__ = [
 ]
 
 
-# The degree-doubling ladder stops here.
-_MAX_DEGREE = 256
+# Interpolation sizes of the doubling ladder, walked until two successive
+# estimates agree.
+_DEGREES = (32, 64, 128, 256)
 
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Quadrature controls.
+    """Quadrature tolerance: rel_tol is the relative agreement that two
+    successive estimates on the degree ladder 32, 64, 128, 256 must reach."""
 
-    degree is the starting interpolation size, 1 <= degree < 256, so the
-    doubling ladder up to degree 256 has at least two rungs; rel_tol is
-    the successive agreement target.
-    """
-
-    degree: int = 32
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if not 1 <= self.degree < _MAX_DEGREE:
-            raise ValueError(f"degree must be >= 1 and < {_MAX_DEGREE}, got {self.degree}")
         if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
 
@@ -265,13 +260,11 @@ def _integral01(
 
 
 def _converge(estimate: Callable[[int], complex], cfg: QuadConfig) -> complex:
-    """Double the degree until successive estimates agree to cfg.rel_tol."""
-    n = cfg.degree
-    prev = estimate(n)
+    """Walk the degree ladder until successive estimates agree to cfg.rel_tol."""
+    prev = estimate(_DEGREES[0])
     best = prev
     best_err = math.inf
-    while n < _MAX_DEGREE:
-        n = min(2 * n, _MAX_DEGREE)
+    for n in _DEGREES[1:]:
         cur = estimate(n)
         denom = max(abs(cur), abs(prev))
         # Estimates that agree to the last bit still leave a rounding unit
@@ -284,7 +277,7 @@ def _converge(estimate: Callable[[int], complex], cfg: QuadConfig) -> complex:
             best_err, best = err, cur
         prev = cur
     raise ConvergenceError(
-        f"quadrature did not reach rel_tol={cfg.rel_tol:g} by degree {_MAX_DEGREE} "
+        f"quadrature did not reach rel_tol={cfg.rel_tol:g} by degree {_DEGREES[-1]} "
         f"(best successive agreement {best_err:.3e})",
         best_estimate=best,
         achieved_rel_err=best_err,
@@ -309,7 +302,8 @@ def integrate_numeric(
 
     ``f`` must be bounded on [x0, x] unless ``singular_exponent`` declares
     a power factor (y - x0)^p with Re(p) > -1 and smooth cofactor, in which
-    case the singular factor is integrated analytically.  A ConvergenceError
+    case the singular factor is integrated analytically (a u^p that
+    underflows to 0 at a node raises DomainError).  A ConvergenceError
     carries the best estimate of this integral (normalization included).
     """
     s = complex(s)
@@ -337,6 +331,9 @@ def integrate_numeric(
     except ConvergenceError as exc:
         exc.best_estimate = factor * exc.best_estimate
         raise
+    except ZeroDivisionError as exc:
+        # The left-panel cofactor g(u) / u^p, once u^p underflows to 0.
+        raise DomainError(f"division by zero sampling the integrand: {exc}") from exc
     return factor * integral
 
 
@@ -410,7 +407,7 @@ def differentiate_numeric(
         raise DomainError(f"differentiate_numeric needs Re(s) >= 0, got {s!r}")
     if k < 1 or k <= s.real:
         raise DomainError(f"need integer k > Re(s); got k={k}, s={s!r}")
-    inner_cfg = replace(cfg, rel_tol=max(cfg.rel_tol * 1e-3, 1e-13))
+    inner_cfg = QuadConfig(rel_tol=max(cfg.rel_tol * 1e-3, 1e-13))
 
     def inner(u: float) -> complex:
         try:

@@ -1,18 +1,17 @@
 """Gamma-family special functions for complex arguments.
 
-The complex Gamma function is evaluated with the Lanczos approximation
-(g = 7, the widely published nine-coefficient set) on the half-plane
-Re(z) >= 0.5 and continued to the left half-plane with the reflection
+``log_gamma`` returns the principal branch of log Gamma, i.e. the analytic
+continuation from the positive real axis.  On the half-plane Re(z) >= 0.5
+it sums the logarithmic form of the Lanczos approximation (g = 7, the
+widely published nine-coefficient set) term by term rather than taking the
+logarithm of Gamma(z); the left half-plane follows from the reflection
 formula
 
-    Gamma(z) Gamma(1 - z) = pi / sin(pi z).
+    Gamma(z) Gamma(1 - z) = pi / sin(pi z),
 
-``log_gamma`` returns the principal branch of log Gamma, i.e. the analytic
-continuation from the positive real axis, built by summing the logarithmic
-form of the Lanczos formula term by term rather than taking the logarithm
-of Gamma(z); for Re(z) < 0.5 the log-sine term is unwound through its
-exponential factorization so the imaginary part stays continuous for large
-|Im(z)|.
+whose log-sine term is unwound through its exponential factorization so
+the imaginary part stays continuous for large |Im(z)|.  ``gamma`` is
+exp(log_gamma), so one Lanczos evaluator serves both.
 
 Quotients of Gamma values are always formed in log space (``gamma_ratio``,
 ``beta``); the reciprocal of Gamma is entire, so a quotient whose
@@ -51,7 +50,6 @@ _LANCZOS_COEFFS = (
     1.5056327351493116e-7,
 )
 
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 
@@ -94,13 +92,7 @@ def gamma(z: complex) -> complex:
     gracefully further out until the result overflows (near Re(z) ~ 172 on
     the real axis).
     """
-    z = _require_regular(z, "gamma")
-    if z.real < 0.5:
-        # Reflection: Gamma(z) = pi / (sin(pi z) Gamma(1 - z)).
-        return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
-    w = z - 1.0
-    t = w + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (w + 0.5) * cmath.exp(-t) * _lanczos_series(w)
+    return cmath.exp(log_gamma(z))
 
 
 def _log_sin_pi_upper(z: complex) -> complex:

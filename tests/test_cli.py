@@ -172,6 +172,12 @@ def test_exit_code_domain_error_per_point(capture):
     assert code == 2
     line = out.strip().splitlines()[1]
     assert line == "-3.0,,"
+    # u^80 underflows to 0 at the smallest quadrature node.
+    code, out, _ = capture(
+        ["eval", "--op", "J^(1)", "--fn", "x^(80)", "--at", "1", "--method", "numeric"]
+    )
+    assert code == 2
+    assert out.strip().splitlines()[1] == "1.0,,"
 
 
 def test_exit_code_convergence(capture):
@@ -188,22 +194,14 @@ def test_exit_code_convergence(capture):
     assert code == 3
 
 
-def test_exit_code_degree_without_a_doubling_rung(capture):
-    # --degree 256 would leave one unverified estimate; it is rejected
-    # instead of reported ok.
+def test_degree_is_not_an_option(capture):
+    # The degree ladder is fixed, so --degree is an unknown option.
     code, out, err = capture(
-        [
-            "eval",
-            "--op", "J^(0.5)",
-            "--fn", "x^(0.3+1i)",
-            "--at", "1",
-            "--rel-tol", "1e-30",
-            "--degree", "256",
-        ]
+        ["eval", "--op", "J^(1)", "--fn", "x", "--at", "1", "--degree", "64"]
     )
-    assert code == 2
+    assert code == 1
     assert out == ""
-    assert "degree" in err
+    assert "--degree" in err
 
 
 @pytest.mark.parametrize("method", ["numeric", "both", "closed"])
@@ -223,6 +221,20 @@ def test_exit_code_overflow_is_domain_error(capture, method):
     assert [row.split(",")[1] == "" for row in rows] == [False, True, True]
     if method == "both":
         assert [row.split(",")[-1] for row in rows] == ["ok", "domain_error", "domain_error"]
+    # 10 e^709 overflows inside a product to an inf or nan part.
+    code, out, _ = capture(
+        [
+            "eval",
+            "--op", "J^(1)",
+            "--fn", "(10+0i)*exp(x)",
+            "--x0", "-inf",
+            "--at", "709",
+            "--method", method,
+        ]
+    )
+    assert code == 2
+    row = out.strip().splitlines()[1]
+    assert row == ("709.0,,,,,,,domain_error" if method == "both" else "709.0,,")
 
 
 def test_out_file(tmp_path, capture):

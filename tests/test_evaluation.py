@@ -112,6 +112,25 @@ def test_overflow_at_a_point_is_a_domain_error(method):
     assert [r.value is None for r in results] == [False, True, True]
     (r,) = apply(parse_operator("J^(1)"), parse_function("x^(300)"), [1e3], method)
     assert r.status is EvalStatus.DOMAIN_ERROR
+    # 10 e^709 overflows inside a product without an exception: the closed
+    # reference is inf and the numeric value inf+nan*j.
+    f = parse_function("(10+0i)*exp(x)", lower_limit=-math.inf)
+    (r,) = apply(expr, f, [709.0], method)
+    assert r.status is EvalStatus.DOMAIN_ERROR
+    assert r.value is None and r.reference is None
+
+
+@pytest.mark.parametrize("method", [Method.NUMERIC, Method.BOTH])
+def test_underflowing_power_cofactor_is_a_domain_error(method):
+    # u^80 underflows to 0 at the smallest quadrature node, where the
+    # left-panel cofactor divides by it; the grid goes on past the point.
+    expr = parse_operator("J^(1)")
+    f = parse_function("x^(80)")
+    results = apply(expr, f, [1.0, 2.0], method)
+    assert [r.status for r in results] == [EvalStatus.DOMAIN_ERROR] * 2
+    assert [r.value for r in results] == [None, None]
+    (r,) = apply(expr, parse_function("x^(70)"), [1.0], method)
+    assert r.status is EvalStatus.OK
 
 
 def test_exp_numeric_integer_order_both():
