@@ -15,7 +15,7 @@ are byte offsets into the original text (the grammar is pure ASCII).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParseError
 
@@ -24,11 +24,9 @@ _NAME_RE = re.compile(r"[A-Za-z]+")
 _SYMBOLS = "+-*^()."
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "number", "name", one of _SYMBOLS, or "end"
-    text: str
-    offset: int
+class Token(namedtuple("Token", "kind text offset")):
+    # kind: "number", "name", one of _SYMBOLS, or "end"
+    __slots__ = ()
 
 
 def tokenize(text: str) -> list[Token]:

@@ -11,7 +11,6 @@ grid point fails to converge.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -20,7 +19,6 @@ from .evaluation import EvalResult, EvalStatus, Method, apply
 from .functions import parse_function
 from .operators import parse_operator
 from .quadrature import QuadConfig
-from .selftest import run_selftests
 
 __all__ = ["main", "run"]
 
@@ -120,6 +118,8 @@ def _render_csv(rows: list[dict]) -> str:
 
 
 def _render_json(rows: list[dict]) -> str:
+    import json
+
     return json.dumps(rows, indent=2) + "\n"
 
 
@@ -167,6 +167,8 @@ def _run_eval(args) -> int:
 
 
 def _run_selftest(args) -> int:
+    from .selftest import run_selftests
+
     results = run_selftests(seed=args.seed, name_filter=args.filter)
     width = max((len(r.name) for r in results), default=10) + 2
     lines = [f"{'check'.ljust(width)}status  worst       threshold"]

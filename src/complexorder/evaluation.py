@@ -9,7 +9,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from . import closed_form as _closed
@@ -34,16 +34,16 @@ class EvalStatus(enum.Enum):
     UNSUPPORTED = "unsupported"
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(
+    namedtuple(
+        "EvalResult",
+        "x value reference abs_err rel_err status",
+        defaults=(None, None, None, EvalStatus.OK),
+    )
+):
     """One grid point: numeric (or closed) value, optional reference, errors."""
 
-    x: float
-    value: complex | None
-    reference: complex | None = None
-    abs_err: float | None = None
-    rel_err: float | None = None
-    status: EvalStatus = EvalStatus.OK
+    __slots__ = ()
 
 
 # Failures confined to one grid point, which gets their status and no value:
@@ -69,23 +69,21 @@ def _finite(z: complex) -> complex:
     return z
 
 
-def _numeric_point(net, f, x: float, cfg: _quad.QuadConfig) -> complex:
+def _numeric_point(net, f, x: float, cfg: _quad.QuadConfig, exp_integral) -> complex:
     x0 = f.lower_limit
     if net.branch is Branch.IDENTITY:
         return complex(f(x))
 
     if isinstance(f, CausalFunction):
         if not math.isfinite(x0):
-            # Pure exponential with lower limit -inf: the integral of order
-            # k + sigma (k = 0 on the integrate branch) is e^x times its
-            # value at 0, and D^k leaves e^x unchanged.
+            # Pure exponential with lower limit -inf: e^x times the grid's
+            # ``exp_integral`` (see ``apply``), and D^k leaves e^x unchanged.
             if f.exp_coef == 0:
                 return 0j
-            return (
-                f.exp_coef
-                * math.exp(x)
-                * _quad.integrate_exp_lower_inf(net.sigma + net.k, 0.0, cfg)
-            )
+            scaled = f.exp_coef * math.exp(x)  # an overflow is this point's own
+            if isinstance(exp_integral, Exception):
+                raise exp_integral.with_traceback(None)
+            return scaled * exp_integral
         # Each power term declares its exponent, so its singularity at x0
         # is integrated exactly.
         parts = [
@@ -141,6 +139,21 @@ def apply(
         except (DomainError, UnsupportedError) as exc:
             closed_failure = exc
 
+    # e^x from -inf: the integral of order k + sigma (k = 0 on the integrate
+    # branch) is e^x times its value at 0, one quadrature for the whole grid;
+    # if it fails, its exception is each point's.
+    exp_integral: complex | Exception | None = None
+    if (
+        method is not Method.CLOSED
+        and net.branch is not Branch.IDENTITY
+        and isinstance(f, CausalFunction)
+        and f.exp_coef != 0
+    ):
+        try:
+            exp_integral = _quad.integrate_exp_lower_inf(net.sigma + net.k, 0.0, cfg)
+        except _POINT_FAILURES as exc:
+            exp_integral = exc
+
     results: list[EvalResult] = []
     for x in xs:
         x = float(x)
@@ -174,7 +187,7 @@ def apply(
         value: complex | None = None
         num_status: EvalStatus | None = None
         try:
-            value = _finite(_numeric_point(net, f, x, cfg))
+            value = _finite(_numeric_point(net, f, x, cfg, exp_integral))
         except _POINT_FAILURES as exc:
             num_status = _status_of(exc)
 

@@ -15,7 +15,7 @@ allowed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable
 
 from ._parsing import TokenStream, parse_complex, tokenize
@@ -35,8 +35,7 @@ __all__ = [
 EXPONENT_MERGE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PowerTerm:
+class PowerTerm(namedtuple("PowerTerm", "coef exponent")):
     """One term coef * (x - x0)^exponent.
 
     Re(exponent) > -1 is required whenever the term is fed to an integral
@@ -44,17 +43,15 @@ class PowerTerm:
     differentiation results (which may leave that class) stay representable.
     """
 
-    coef: complex
-    exponent: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        coef = complex(self.coef)
-        exponent = complex(self.exponent)
+    def __new__(cls, coef: complex, exponent: complex):
+        coef = complex(coef)
+        exponent = complex(exponent)
         for name, z in (("coef", coef), ("exponent", exponent)):
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise DomainError(f"PowerTerm {name} must be finite, got {z!r}")
-        object.__setattr__(self, "coef", coef)
-        object.__setattr__(self, "exponent", exponent)
+        return super().__new__(cls, coef, exponent)
 
 
 def _merge_terms(terms) -> tuple[PowerTerm, ...]:
@@ -76,8 +73,7 @@ def _merge_terms(terms) -> tuple[PowerTerm, ...]:
     return tuple(t for t in merged if t.coef != 0)
 
 
-@dataclass(frozen=True)
-class CausalFunction:
+class CausalFunction(namedtuple("CausalFunction", "terms exp_coef lower_limit")):
     """Sum of power terms in (x - lower_limit), plus exp_coef * e^x.
 
     Instances canonicalize on construction: terms are sorted by
@@ -85,21 +81,20 @@ class CausalFunction:
     coefficients are dropped, so structural equality is meaningful.
     """
 
-    terms: tuple[PowerTerm, ...] = ()
-    exp_coef: complex = 0j
-    lower_limit: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", _merge_terms(self.terms))
-        object.__setattr__(self, "exp_coef", complex(self.exp_coef))
-        object.__setattr__(self, "lower_limit", float(self.lower_limit))
-        if math.isnan(self.lower_limit) or self.lower_limit == math.inf:
-            raise DomainError(f"lower limit must be finite or -inf, got {self.lower_limit!r}")
-        if math.isfinite(self.lower_limit):
-            if self.exp_coef != 0:
+    def __new__(cls, terms: tuple = (), exp_coef: complex = 0j, lower_limit: float = 0.0):
+        terms = _merge_terms(terms)
+        exp_coef = complex(exp_coef)
+        lower_limit = float(lower_limit)
+        if math.isnan(lower_limit) or lower_limit == math.inf:
+            raise DomainError(f"lower limit must be finite or -inf, got {lower_limit!r}")
+        if math.isfinite(lower_limit):
+            if exp_coef != 0:
                 raise DomainError("an exp(x) term requires lower limit -inf")
-        elif self.terms:
+        elif terms:
             raise DomainError("power terms require a finite lower limit")
+        return super().__new__(cls, terms, exp_coef, lower_limit)
 
     def __call__(self, x: float) -> complex:
         """Evaluate at ``x``; exactly 0 for x <= a finite lower limit."""
@@ -126,21 +121,20 @@ class CausalFunction:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class OpaqueFunction:
+class OpaqueFunction(namedtuple("OpaqueFunction", "fn lower_limit")):
     """A black-box integrand: the caller asserts causality and boundedness.
 
     ``fn`` must return 0 for x <= lower_limit, be bounded on every compact
     [lower_limit, x], and be safe to call concurrently.
     """
 
-    fn: Callable[[float], complex]
-    lower_limit: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lower_limit", float(self.lower_limit))
-        if not math.isfinite(self.lower_limit):
+    def __new__(cls, fn: Callable[[float], complex], lower_limit: float = 0.0):
+        lower_limit = float(lower_limit)
+        if not math.isfinite(lower_limit):
             raise DomainError("an opaque function needs a finite lower limit")
+        return super().__new__(cls, fn, lower_limit)
 
     def __call__(self, x: float) -> complex:
         return complex(self.fn(x))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._parsing import TokenStream, parse_complex, tokenize
 from .errors import DomainError, ParseError
@@ -41,45 +41,39 @@ class Branch(enum.Enum):
     IDENTITY = "identity"
 
 
-@dataclass(frozen=True)
-class OperatorStage:
+class OperatorStage(namedtuple("OperatorStage", "kind order")):
     """One J^order or D^order application.
 
     J^0 is the explicit identity stage; D^0 is rejected.
     """
 
-    kind: OpKind
-    order: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "order", complex(self.order))
-        if not (math.isfinite(self.order.real) and math.isfinite(self.order.imag)):
-            raise DomainError(f"stage order must be finite, got {self.order!r}")
-        if self.kind is OpKind.DERIVATIVE and self.order == 0:
+    def __new__(cls, kind: OpKind, order: complex):
+        order = complex(order)
+        if not (math.isfinite(order.real) and math.isfinite(order.imag)):
+            raise DomainError(f"stage order must be finite, got {order!r}")
+        if kind is OpKind.DERIVATIVE and order == 0:
             raise DomainError("D^0 is not a stage; use J^0 for the identity")
+        return super().__new__(cls, kind, order)
 
 
-@dataclass(frozen=True)
-class OperatorExpr:
+class OperatorExpr(namedtuple("OperatorExpr", "stages lower_limit")):
     """Ordered stages (applied right to left) with a shared lower limit."""
 
-    stages: tuple[OperatorStage, ...]
-    lower_limit: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
-        object.__setattr__(self, "lower_limit", float(self.lower_limit))
-        if math.isnan(self.lower_limit) or self.lower_limit == math.inf:
-            raise DomainError(f"lower limit must be finite or -inf, got {self.lower_limit!r}")
+    def __new__(cls, stages: tuple[OperatorStage, ...], lower_limit: float = 0.0):
+        stages, lower_limit = tuple(stages), float(lower_limit)
+        if math.isnan(lower_limit) or lower_limit == math.inf:
+            raise DomainError(f"lower limit must be finite or -inf, got {lower_limit!r}")
+        return super().__new__(cls, stages, lower_limit)
 
 
-@dataclass(frozen=True)
-class NetOperator:
+class NetOperator(namedtuple("NetOperator", "sigma branch k")):
     """Collapsed form of a chain: net order, branch, and derivative index k."""
 
-    sigma: complex
-    branch: Branch
-    k: int
+    __slots__ = ()
 
 
 def choose_k(s: complex) -> int:

@@ -64,7 +64,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from math import fsum
 from operator import mul
 from typing import Callable, Sequence
@@ -89,20 +89,19 @@ __all__ = [
 _DEGREES = (32, 64, 128, 256)
 
 
-@dataclass(frozen=True)
-class QuadConfig:
+class QuadConfig(namedtuple("QuadConfig", "rel_tol")):
     """Quadrature tolerance: rel_tol is the relative agreement that two
     successive estimates on the degree ladder 32, 64, 128, 256 must reach."""
 
-    rel_tol: float = 1e-9
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
+    def __new__(cls, rel_tol: float = 1e-9):
+        if not rel_tol > 0:
+            raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
+        return super().__new__(cls, rel_tol)
 
 
-@dataclass(frozen=True)
-class MomentTable:
+class MomentTable(namedtuple("MomentTable", "order count moments")):
     """Integer-power kernel moments mu_k = B(s, k+1), k = 0..count-1.
 
     Built by mu_0 = 1/s and the forward recurrence
@@ -110,9 +109,7 @@ class MomentTable:
     against (1-u)^(s-1) on [0, 1].
     """
 
-    order: complex
-    count: int
-    moments: tuple[complex, ...]
+    __slots__ = ()
 
 
 def build_moments(s: complex, n: int) -> MomentTable:

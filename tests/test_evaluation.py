@@ -18,6 +18,7 @@ from complexorder import (
     parse_function,
     parse_operator,
 )
+from complexorder import quadrature
 from complexorder.quadrature import _weights
 
 
@@ -231,6 +232,37 @@ def test_exp_lower_inf_derivatives_meet_rel_tol():
         for r in apply(expr, f, xs, Method.NUMERIC):
             assert r.status is EvalStatus.OK
             assert rel(r.value, (1.5 - 0.5j) * math.exp(r.x)) <= 1e-9
+
+
+def test_exp_lower_inf_grid_makes_one_quadrature(monkeypatch):
+    # The integral of e^x from -inf is e^x times its value at 0, so one
+    # quadrature serves the grid; a failure of it is every point's, while
+    # an overflow of e^x stays the point's own.
+    calls = []
+    original = quadrature.integrate_exp_lower_inf
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(quadrature, "integrate_exp_lower_inf", counted)
+    expr = parse_operator("D^(0.5)", lower_limit=-math.inf)
+    f = parse_function("(2-1i)*exp(x)", lower_limit=-math.inf)
+    xs = [0.25 * i for i in range(8)]
+    results = apply(expr, f, xs, Method.NUMERIC)
+    assert len(calls) == 1
+    at_zero = original(0.5 + 0j, 0.0, QuadConfig())
+    assert [r.value for r in results] == [(2 - 1j) * math.exp(x) * at_zero for x in xs]
+    assert {r.status for r in results} == {EvalStatus.OK}
+
+    calls.clear()
+    results = apply(expr, f, [0.0, 710.0, 1.0], Method.NUMERIC, QuadConfig(rel_tol=1e-30))
+    assert len(calls) == 1
+    assert [r.status for r in results] == [
+        EvalStatus.CONVERGENCE_ERROR,
+        EvalStatus.DOMAIN_ERROR,
+        EvalStatus.CONVERGENCE_ERROR,
+    ]
 
 
 def test_numeric_rows_are_both_rows_without_reference():

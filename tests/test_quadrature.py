@@ -1,6 +1,5 @@
 """Singular-kernel quadrature vs the Gamma-ratio closed forms."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -47,7 +46,7 @@ def monomial(p):
 def test_quad_config_validation():
     QuadConfig()
     # The degree ladder is fixed; the tolerance is the only control.
-    assert [f.name for f in dataclasses.fields(QuadConfig)] == ["rel_tol"]
+    assert QuadConfig._fields == ("rel_tol",)
     with pytest.raises(ValueError):
         QuadConfig(rel_tol=0.0)
 
