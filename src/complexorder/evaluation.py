@@ -61,29 +61,52 @@ def _status_of(exc: Exception) -> EvalStatus:
     return EvalStatus.DOMAIN_ERROR
 
 
-def _finite(z: complex) -> complex:
-    """``z``, or DomainError when a part of it is inf or nan (an overflow
-    inside a product, e.g. c e^x near x = 709, yields these silently)."""
-    if not cmath.isfinite(z):
-        raise DomainError(f"value {z!r} is not finite")
-    return z
+def _attempt(at, x: float) -> tuple[complex | None, EvalStatus | None]:
+    """``(at(x), None)``, or ``(None, status)`` when the point fails.
+
+    A value with an infinite or nan part is a domain error too: an overflow
+    inside a product, e.g. c e^x near x = 709, yields these silently.
+    """
+    try:
+        value = at(x)
+    except _POINT_FAILURES as exc:
+        return None, _status_of(exc)
+    if not cmath.isfinite(value):
+        return None, EvalStatus.DOMAIN_ERROR
+    return value, None
 
 
-def _numeric_point(net, f, x: float, cfg: _quad.QuadConfig, exp_integral) -> complex:
-    x0 = f.lower_limit
+def _raising(exc: Exception, before=None):
+    """An evaluator that raises ``exc`` at every point, after ``before(x)``."""
+
+    def at(x: float) -> complex:
+        if before is not None:
+            before(x)
+        raise exc.with_traceback(None)  # a fresh traceback, not one grown per point
+
+    return at
+
+
+def _numeric_evaluator(net, f, cfg: _quad.QuadConfig):
+    """``x -> value`` from the numeric backend.  The route depends on the
+    request, not on the point, so it is chosen here, once per ``apply`` call."""
     if net.branch is Branch.IDENTITY:
-        return complex(f(x))
-
+        return lambda x: complex(f(x))
+    x0 = f.lower_limit
     if isinstance(f, CausalFunction):
         if not math.isfinite(x0):
-            # Pure exponential with lower limit -inf: e^x times the grid's
-            # ``exp_integral`` (see ``apply``), and D^k leaves e^x unchanged.
-            if f.exp_coef == 0:
-                return 0j
-            scaled = f.exp_coef * math.exp(x)  # an overflow is this point's own
-            if isinstance(exp_integral, Exception):
-                raise exp_integral.with_traceback(None)
-            return scaled * exp_integral
+            # Pure exponential with lower limit -inf: the integral of order
+            # k + sigma (k = 0 on the integrate branch) is e^x times its
+            # value at 0, one quadrature for the grid, and D^k leaves e^x
+            # unchanged.
+            coef = f.exp_coef
+            if coef == 0:
+                return lambda x: 0j
+            try:
+                at_zero = _quad.integrate_exp_lower_inf(net.sigma + net.k, 0.0, cfg)
+            except _POINT_FAILURES as exc:
+                return _raising(exc, before=math.exp)  # an overflow stays the point's own
+            return lambda x: coef * math.exp(x) * at_zero
         # Each power term declares its exponent, so its singularity at x0
         # is integrated exactly.
         parts = [
@@ -94,15 +117,22 @@ def _numeric_point(net, f, x: float, cfg: _quad.QuadConfig, exp_integral) -> com
         # Opaque handle: no structural information to exploit.
         parts = [(f, None)]
 
-    total = 0j
-    for g, p in parts:
-        if net.k == 0:
-            total += _quad.integrate_numeric(g, net.sigma, x, x0, cfg, singular_exponent=p)
-        else:
-            total += _quad.differentiate_numeric(
+    if net.k == 0:
+        def part(g, p, x: float) -> complex:
+            return _quad.integrate_numeric(g, net.sigma, x, x0, cfg, singular_exponent=p)
+    else:
+        def part(g, p, x: float) -> complex:
+            return _quad.differentiate_numeric(
                 g, -net.sigma, x, x0, net.k, cfg, singular_exponent=p
             )
-    return total
+
+    def numeric_at(x: float) -> complex:
+        total = 0j
+        for g, p in parts:
+            total += part(g, p, x)
+        return total
+
+    return numeric_at
 
 
 def apply(
@@ -130,81 +160,31 @@ def apply(
         raise UnsupportedError("closed-form evaluation needs a CausalFunction")
 
     net = normalize(expr)
-
-    closed_image: CausalFunction | None = None
-    closed_failure: Exception | None = None
+    closed_at = numeric_at = None
     if method is not Method.NUMERIC:
         try:
-            closed_image = _closed.apply_closed(expr, f)
+            closed_at = _closed.apply_closed(expr, f)
         except (DomainError, UnsupportedError) as exc:
-            closed_failure = exc
-
-    # e^x from -inf: the integral of order k + sigma (k = 0 on the integrate
-    # branch) is e^x times its value at 0, one quadrature for the whole grid;
-    # if it fails, its exception is each point's.
-    exp_integral: complex | Exception | None = None
-    if (
-        method is not Method.CLOSED
-        and net.branch is not Branch.IDENTITY
-        and isinstance(f, CausalFunction)
-        and f.exp_coef != 0
-    ):
-        try:
-            exp_integral = _quad.integrate_exp_lower_inf(net.sigma + net.k, 0.0, cfg)
-        except _POINT_FAILURES as exc:
-            exp_integral = exc
+            closed_at = _raising(exc)
+    if method is not Method.CLOSED:
+        numeric_at = _numeric_evaluator(net, f, cfg)
 
     results: list[EvalResult] = []
     for x in xs:
         x = float(x)
         if not x > f.lower_limit:
-            results.append(
-                EvalResult(x=x, value=None, status=EvalStatus.DOMAIN_ERROR)
-            )
+            results.append(EvalResult(x, None, status=EvalStatus.DOMAIN_ERROR))
             continue
-
-        reference: complex | None = None
-        ref_status: EvalStatus | None = None
-        if method is not Method.NUMERIC:
-            if closed_failure is not None:
-                ref_status = _status_of(closed_failure)
-            else:
-                try:
-                    reference = _finite(closed_image(x))
-                except _POINT_FAILURES as exc:
-                    ref_status = _status_of(exc)
-
-        if method is Method.CLOSED:
-            results.append(
-                EvalResult(
-                    x=x,
-                    value=reference,
-                    status=EvalStatus.OK if ref_status is None else ref_status,
-                )
-            )
+        reference, ref_status = _attempt(closed_at, x) if closed_at is not None else (None, None)
+        if numeric_at is None:
+            results.append(EvalResult(x, reference, status=ref_status or EvalStatus.OK))
             continue
-
-        value: complex | None = None
-        num_status: EvalStatus | None = None
-        try:
-            value = _finite(_numeric_point(net, f, x, cfg, exp_integral))
-        except _POINT_FAILURES as exc:
-            num_status = _status_of(exc)
-
+        value, num_status = _attempt(numeric_at, x)
         abs_err = rel_err = None
         if value is not None and reference is not None:
             abs_err = abs(value - reference)
             # A zero reference has no relative error; abs_err carries it.
             rel_err = abs_err / abs(reference) if reference != 0 else None
         status = num_status or ref_status or EvalStatus.OK
-        results.append(
-            EvalResult(
-                x=x,
-                value=value,
-                reference=reference,
-                abs_err=abs_err,
-                rel_err=rel_err,
-                status=status,
-            )
-        )
+        results.append(EvalResult(x, value, reference, abs_err, rel_err, status))
     return results

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections import namedtuple
 from typing import Callable
 
 from .closed_form import differentiate_power, integrate_power
@@ -26,12 +27,10 @@ from .special import beta, complex_pow, gamma
 __all__ = ["CHECKS", "CheckResult", "run_selftests"]
 
 
-class CheckResult:
-    def __init__(self, name: str, passed: bool, metric: float, threshold: float):
-        self.name = name
-        self.passed = passed
-        self.metric = metric
-        self.threshold = threshold
+class CheckResult(namedtuple("CheckResult", "name passed metric threshold")):
+    """One check: its name, verdict, worst observed metric and threshold."""
+
+    __slots__ = ()
 
 
 def _rel(a: complex, b: complex) -> float:

@@ -172,10 +172,16 @@ def test_opaque_numeric_only():
 
 
 def test_lower_limit_mismatch_rejected():
+    # The mismatch is reported before an opaque function's lack of a closed form.
     expr = parse_operator("J^(1)", lower_limit=1.0)
-    f = parse_function("x")
-    with pytest.raises(MismatchError):
-        apply(expr, f, [2.0])
+    opaque = OpaqueFunction(fn=math.sin)
+    for f, method in (
+        (parse_function("x"), Method.BOTH),
+        (opaque, Method.BOTH),
+        (opaque, Method.NUMERIC),
+    ):
+        with pytest.raises(MismatchError):
+            apply(expr, f, [2.0], method)
 
 
 def test_rel_err_definition():
@@ -275,6 +281,27 @@ def test_numeric_rows_are_both_rows_without_reference():
     assert [r.value for r in numeric] == [r.value for r in both]
     assert all(r.reference is r.abs_err is r.rel_err is None for r in numeric)
     assert both[0].status is EvalStatus.DOMAIN_ERROR
+
+
+@pytest.mark.parametrize(
+    "op, f, method",
+    [
+        ("J^(0.7+0.4i)", parse_function("2*x^(0.5) + x^(1+1i) + (1-2i)*x^(-0.25)"), Method.BOTH),
+        ("D^(2.5+0.5i)", parse_function("2*x^(0.5) + x^(1+1i) + (1-2i)*x^(2.25)"), Method.BOTH),
+        (
+            "D^(0.8)",
+            OpaqueFunction(fn=lambda y: y * math.cos(3.0 * y) if y > 0 else 0.0),
+            Method.NUMERIC,
+        ),
+    ],
+    ids=["power-integral", "power-derivative-k3", "opaque-derivative"],
+)
+def test_grid_rows_are_single_point_rows(op, f, method):
+    # The route is chosen once per call; no point depends on its neighbours.
+    expr = parse_operator(op)
+    xs = [0.02 + 0.35 * i for i in range(8)]
+    grid = apply(expr, f, xs, method)
+    assert grid == [row for x in xs for row in apply(expr, f, [x], method)]
 
 
 def test_result_order_matches_xs_order():

@@ -22,6 +22,7 @@ from complexorder import (
     QuadConfig,
 )
 from complexorder._parsing import Token
+from complexorder.selftest import CheckResult
 
 # (keyword construction, its repr, an invalid construction and its error);
 # records without validation have no invalid construction.
@@ -88,6 +89,11 @@ CASES = {
     "MomentTable": (
         lambda: MomentTable(order=1 + 0j, count=2, moments=(1 + 0j, 0.5 + 0j)),
         "MomentTable(order=(1+0j), count=2, moments=((1+0j), (0.5+0j)))",
+        None,
+    ),
+    "CheckResult": (
+        lambda: CheckResult(name="semigroup", passed=True, metric=3.5e-12, threshold=1e-6),
+        "CheckResult(name='semigroup', passed=True, metric=3.5e-12, threshold=1e-06)",
         None,
     ),
 }
