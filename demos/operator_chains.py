@@ -3,12 +3,21 @@
 Run:  python3 demos/operator_chains.py
 """
 
-from complexorder import Method, apply, normalize, parse_function, parse_operator
+from complexorder import Method, apply, choose_k, normalize, parse_function, parse_operator
 
-# Chains collapse to one net order before evaluation.
-for text in ("J^(0.5).J^(0.5)", "D^(0.5).J^(1+1i)", "D^(0.6-0.4i).J^(0.6-0.4i)"):
-    net = normalize(parse_operator(text))
-    print(f"{text:<22} -> sigma={net.sigma}, branch={net.branch.value}, k={net.k}")
+# Chains collapse to one net signed order sigma (the operator J^sigma) before
+# evaluation.  A sigma with Re(sigma) <= 0 is a derivative of order -sigma,
+# taken as D^k J^(k+sigma) with k = choose_k(-sigma).
+for text in ("J^(0.5).J^(0.5)", "D^(0.5).J^(1+1i)", "D^(1.5)", "D^(0.6-0.4i).J^(0.6-0.4i)"):
+    sigma = normalize(parse_operator(text)).sigma
+    if sigma == 0:
+        route = "identity"
+    elif sigma.real > 0:
+        route = "integral"
+    else:
+        k = choose_k(-sigma)
+        route = f"derivative, k={k}: D^{k} J^{k + sigma}"
+    print(f"{text:<26} -> sigma={sigma}, {route}")
 
 # Evaluate a chain over a grid, numeric value against closed reference.
 expr = parse_operator("D^(0.5).J^(1+1i)")

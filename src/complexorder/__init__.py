@@ -5,7 +5,7 @@ its left inverse D^s (derivative of complex order s) for functions that
 vanish at and below a lower limit x0, with two interchangeable backends:
 
 * exact Gamma-ratio closed forms on sums of complex-exponent power terms
-  (and on e^x for integer orders with x0 = -inf), and
+  (and on e^x with x0 = -inf, an eigenfunction of every order), and
 * singular-kernel product quadrature for arbitrary integrands, built on a
   complex-argument Lanczos Gamma engine and stable modified Chebyshev
   moments.
@@ -35,7 +35,6 @@ from .functions import (
     parse_function,
 )
 from .operators import (
-    Branch,
     NetOperator,
     OperatorExpr,
     OperatorStage,
@@ -59,7 +58,6 @@ from .special import beta, complex_pow, gamma, gamma_ratio, is_near_pole, log_ga
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch",
     "CausalFunction",
     "ComplexOrderError",
     "ConvergenceError",

@@ -134,6 +134,8 @@ def _emit(text: str, out: str | None) -> None:
 def _run_eval(args) -> int:
     if (args.at is None) == (args.grid is None):
         raise _UsageError("exactly one of --at or --grid is required")
+    if args.rel_tol is not None and not args.rel_tol > 0:
+        raise _UsageError(f"--rel-tol must be > 0, got {args.rel_tol}")
     x0 = _parse_x0(args.x0)
     xs = args.at if args.at is not None else _parse_grid(args.grid)
 
@@ -159,7 +161,7 @@ def _run_eval(args) -> int:
     _emit(text, args.out)
 
     statuses = {r.status for r in results}
-    if EvalStatus.DOMAIN_ERROR in statuses or EvalStatus.UNSUPPORTED in statuses:
+    if EvalStatus.DOMAIN_ERROR in statuses:
         return 2
     if EvalStatus.CONVERGENCE_ERROR in statuses:
         return 3

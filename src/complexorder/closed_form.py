@@ -10,26 +10,18 @@ With J^sigma = D^-sigma both are one rule in the signed order sigma.  The
 coefficient is formed in log space; a pole in the denominator
 Gamma yields an exactly zero coefficient, which is how D^2 annihilates x.
 With x0 = -inf the only closed form available is e^x, an eigenfunction of
-integer net orders.
+every order: Euler's integral Gamma(s) = int_0^inf t^(s-1) e^-t dt gives
+J^s e^x = e^x for Re(s) > 0, hence D^s e^x = D^k J^(k-s) e^x = e^x.
 """
 
 from __future__ import annotations
 
-from .errors import DomainError, MismatchError, UnsupportedError
+from .errors import DomainError, MismatchError
 from .functions import CausalFunction, PowerTerm
-from .operators import Branch, OperatorExpr, normalize
+from .operators import OperatorExpr, normalize
 from .special import gamma_ratio
 
-__all__ = [
-    "INTEGER_ORDER_TOL",
-    "apply_closed",
-    "differentiate_power",
-    "integrate_power",
-]
-
-#: Net orders within this distance of an integer count as integers for the
-#: exponential eigenfunction rule.
-INTEGER_ORDER_TOL = 1e-12
+__all__ = ["apply_closed", "differentiate_power", "integrate_power"]
 
 
 def _power_image(p: complex, sigma: complex) -> tuple[complex, complex]:
@@ -68,37 +60,22 @@ def differentiate_power(p: complex, s: complex) -> tuple[complex, complex]:
     return _power_image(p, -s)
 
 
-def _is_integer(z: complex) -> bool:
-    return abs(z.imag) <= INTEGER_ORDER_TOL and abs(z.real - round(z.real)) <= INTEGER_ORDER_TOL
-
-
 def apply_closed(expr: OperatorExpr, f: CausalFunction) -> CausalFunction:
     """Apply a normalized operator chain to a symbolic function, exactly.
 
     The chain collapses to its net order sigma first (the composition laws
     hold exactly on the power-function class), then each term maps through
-    a single Gamma-ratio coefficient.
+    a single Gamma-ratio coefficient and the e^x term maps to itself.
     """
     if expr.lower_limit != f.lower_limit:
         raise MismatchError(
             f"operator lower limit {expr.lower_limit!r} != function lower limit {f.lower_limit!r}"
         )
-    net = normalize(expr)
-    if net.branch is Branch.IDENTITY:
+    sigma = normalize(expr).sigma
+    if sigma == 0:
         return f
-
-    sigma = net.sigma
     new_terms = []
     for term in f.terms:
         coef, exponent = _power_image(term.exponent, sigma)
         new_terms.append(PowerTerm(term.coef * coef, exponent))
-
-    exp_coef = 0j
-    if f.exp_coef != 0:
-        if not _is_integer(sigma):
-            raise UnsupportedError(
-                "closed form for exp(x) exists only for integer net orders, "
-                f"got {sigma!r}"
-            )
-        exp_coef = f.exp_coef
-    return CausalFunction(terms=tuple(new_terms), exp_coef=exp_coef, lower_limit=f.lower_limit)
+    return CausalFunction(terms=tuple(new_terms), exp_coef=f.exp_coef, lower_limit=f.lower_limit)

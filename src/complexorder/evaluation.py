@@ -16,7 +16,7 @@ from . import closed_form as _closed
 from . import quadrature as _quad
 from .errors import ConvergenceError, DomainError, MismatchError, UnsupportedError
 from .functions import CausalFunction, OpaqueFunction
-from .operators import Branch, OperatorExpr, normalize
+from .operators import OperatorExpr, choose_k, normalize
 from .special import complex_pow
 
 __all__ = ["EvalResult", "EvalStatus", "Method", "apply"]
@@ -31,7 +31,6 @@ class EvalStatus(enum.Enum):
     OK = "ok"
     CONVERGENCE_ERROR = "convergence_error"
     DOMAIN_ERROR = "domain_error"
-    UNSUPPORTED = "unsupported"
 
 
 class EvalResult(
@@ -50,14 +49,12 @@ class EvalResult(
 # a best estimate is that of one term or inner integral, not the point's
 # value, and an overflow (e^x past x = 709.78, or a non-finite value) is a
 # domain error.
-_POINT_FAILURES = (ConvergenceError, DomainError, UnsupportedError, OverflowError)
+_POINT_FAILURES = (ConvergenceError, DomainError, OverflowError)
 
 
 def _status_of(exc: Exception) -> EvalStatus:
     if isinstance(exc, ConvergenceError):
         return EvalStatus.CONVERGENCE_ERROR
-    if isinstance(exc, UnsupportedError):
-        return EvalStatus.UNSUPPORTED
     return EvalStatus.DOMAIN_ERROR
 
 
@@ -87,23 +84,25 @@ def _raising(exc: Exception, before=None):
     return at
 
 
-def _numeric_evaluator(net, f, cfg: _quad.QuadConfig):
-    """``x -> value`` from the numeric backend.  The route depends on the
-    request, not on the point, so it is chosen here, once per ``apply`` call."""
-    if net.branch is Branch.IDENTITY:
+def _numeric_evaluator(sigma: complex, f, cfg: _quad.QuadConfig):
+    """``x -> value`` of J^sigma f from the numeric backend.  The route depends
+    on the request, not on the point, so it is chosen here, once per ``apply``
+    call: sigma = 0 is the identity, Re(sigma) > 0 an integral, and any other
+    sigma a derivative of order -sigma taken as D^k J^(k+sigma)."""
+    if sigma == 0:
         return lambda x: complex(f(x))
+    k = 0 if sigma.real > 0 else choose_k(-sigma)
     x0 = f.lower_limit
     if isinstance(f, CausalFunction):
         if not math.isfinite(x0):
             # Pure exponential with lower limit -inf: the integral of order
-            # k + sigma (k = 0 on the integrate branch) is e^x times its
-            # value at 0, one quadrature for the grid, and D^k leaves e^x
-            # unchanged.
+            # k + sigma (k = 0 for an integral) is e^x times its value at 0,
+            # one quadrature for the grid, and D^k leaves e^x unchanged.
             coef = f.exp_coef
             if coef == 0:
                 return lambda x: 0j
             try:
-                at_zero = _quad.integrate_exp_lower_inf(net.sigma + net.k, 0.0, cfg)
+                at_zero = _quad.integrate_exp_lower_inf(sigma + k, 0.0, cfg)
             except _POINT_FAILURES as exc:
                 return _raising(exc, before=math.exp)  # an overflow stays the point's own
             return lambda x: coef * math.exp(x) * at_zero
@@ -117,14 +116,12 @@ def _numeric_evaluator(net, f, cfg: _quad.QuadConfig):
         # Opaque handle: no structural information to exploit.
         parts = [(f, None)]
 
-    if net.k == 0:
+    if k == 0:
         def part(g, p, x: float) -> complex:
-            return _quad.integrate_numeric(g, net.sigma, x, x0, cfg, singular_exponent=p)
+            return _quad.integrate_numeric(g, sigma, x, x0, cfg, singular_exponent=p)
     else:
         def part(g, p, x: float) -> complex:
-            return _quad.differentiate_numeric(
-                g, -net.sigma, x, x0, net.k, cfg, singular_exponent=p
-            )
+            return _quad.differentiate_numeric(g, -sigma, x, x0, k, cfg, singular_exponent=p)
 
     def numeric_at(x: float) -> complex:
         total = 0j
@@ -159,15 +156,14 @@ def apply(
     if method is not Method.NUMERIC and not isinstance(f, CausalFunction):
         raise UnsupportedError("closed-form evaluation needs a CausalFunction")
 
-    net = normalize(expr)
     closed_at = numeric_at = None
     if method is not Method.NUMERIC:
         try:
             closed_at = _closed.apply_closed(expr, f)
-        except (DomainError, UnsupportedError) as exc:
+        except DomainError as exc:
             closed_at = _raising(exc)
     if method is not Method.CLOSED:
-        numeric_at = _numeric_evaluator(net, f, cfg)
+        numeric_at = _numeric_evaluator(normalize(expr).sigma, f, cfg)
 
     results: list[EvalResult] = []
     for x in xs:

@@ -3,10 +3,11 @@
 A chain like D^(0.5).J^(1+1i) is a sequence of integral (J) and derivative
 (D) stages applied right to left, all sharing one lower limit.  Because the
 composition laws add orders, any chain collapses to a single net signed
-order sigma = sum of J orders minus sum of D orders; evaluation then
-branches on the sign of Re(sigma).  Net derivatives are realized through
-k-fold ordinary differentiation of a (k + sigma)-order integral, where the
-integer k is chosen so that Re(k + sigma) > 0.
+order sigma = sum of J orders minus sum of D orders, and J^sigma = D^-sigma
+names the operator for every complex sigma.  sigma = 0 is the identity and
+Re(sigma) > 0 an integral; any other sigma is a derivative of order -sigma,
+realized through k-fold ordinary differentiation of a (k + sigma)-order
+integral with k = choose_k(-sigma), so that Re(k + sigma) > 0.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from ._parsing import TokenStream, parse_complex, tokenize
 from .errors import DomainError, ParseError
 
 __all__ = [
-    "Branch",
     "NetOperator",
     "OperatorExpr",
     "OperatorStage",
@@ -33,12 +33,6 @@ __all__ = [
 class OpKind(enum.Enum):
     INTEGRAL = "J"
     DERIVATIVE = "D"
-
-
-class Branch(enum.Enum):
-    INTEGRATE = "integrate"
-    DIFFERENTIATE = "differentiate"
-    IDENTITY = "identity"
 
 
 class OperatorStage(namedtuple("OperatorStage", "kind order")):
@@ -70,8 +64,8 @@ class OperatorExpr(namedtuple("OperatorExpr", "stages lower_limit")):
         return super().__new__(cls, stages, lower_limit)
 
 
-class NetOperator(namedtuple("NetOperator", "sigma branch k")):
-    """Collapsed form of a chain: net order, branch, and derivative index k."""
+class NetOperator(namedtuple("NetOperator", "sigma")):
+    """Collapsed form of a chain: its net signed order sigma (J^sigma)."""
 
     __slots__ = ()
 
@@ -98,13 +92,7 @@ def normalize(expr: OperatorExpr) -> NetOperator:
             sigma += stage.order
         else:
             sigma -= stage.order
-    if sigma == 0:
-        return NetOperator(sigma=0j, branch=Branch.IDENTITY, k=0)
-    if sigma.real > 0:
-        return NetOperator(sigma=sigma, branch=Branch.INTEGRATE, k=0)
-    # Net derivative of order -sigma (Re >= 0); Re(sigma) == 0 with
-    # sigma != 0 lands here too, with k = 1 so Re(k + sigma) = 1 > 0.
-    return NetOperator(sigma=sigma, branch=Branch.DIFFERENTIATE, k=choose_k(-sigma))
+    return NetOperator(sigma)
 
 
 def parse_operator(text: str, lower_limit: float = 0.0) -> OperatorExpr:

@@ -159,6 +159,17 @@ def test_exit_code_usage_error(capture):
     assert code == 1
 
 
+def test_exit_code_rel_tol_usage_error(capture):
+    # A tolerance that is not > 0 is a bad option (1), not a domain error (2).
+    for tol in ("0", "-1e-9", "nan"):
+        code, out, err = capture(
+            ["eval", "--op", "J^(1)", "--fn", "x", "--at", "1", f"--rel-tol={tol}"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: --rel-tol")
+
+
 def test_exit_code_domain_error(capture):
     # exp(x) with a finite lower limit is rejected as a domain violation
     code, _, err = capture(["eval", "--op", "J^(1)", "--fn", "exp(x)", "--at", "2"])

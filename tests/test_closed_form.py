@@ -12,7 +12,6 @@ from complexorder import (
     OperatorStage,
     OpKind,
     PowerTerm,
-    UnsupportedError,
     apply_closed,
     differentiate_power,
     integrate_power,
@@ -182,11 +181,12 @@ def test_apply_closed_exp_negative_integer_net_order():
     assert apply_closed(expr, f) == f
 
 
-def test_apply_closed_exp_non_integer_rejected():
-    expr = parse_operator("J^(0.5)", lower_limit=-math.inf)
-    f = parse_function("exp(x)", lower_limit=-math.inf)
-    with pytest.raises(UnsupportedError):
-        apply_closed(expr, f)
+def test_apply_closed_exp_non_integer_order_is_identity():
+    # J^s e^x = e^x from -inf for every Re(s) > 0 (Euler's integral for
+    # Gamma(s)), so every net order, D^s included, leaves c e^x unchanged.
+    f = CausalFunction(exp_coef=3 + 1j, lower_limit=-math.inf)
+    for op in ("J^(0.5)", "J^(0+1i)", "D^(0.5)", "D^(0.2+3i)", "D^(0.3).J^(1.1+0.4i)"):
+        assert apply_closed(parse_operator(op, lower_limit=-math.inf), f) == f
 
 
 def test_apply_closed_zero_function_passes_through():

@@ -144,14 +144,20 @@ def test_exp_numeric_integer_order_both():
         assert rel(r.reference, expected) <= 1e-12
 
 
-def test_exp_non_integer_closed_is_unsupported_but_numeric_runs():
-    expr = parse_operator("J^(0.5)", lower_limit=-math.inf)
+def test_exp_non_integer_closed_matches_numeric():
+    # The closed image of e^x from -inf is e^x at every order; the numeric
+    # value, one quadrature per grid, checks it to the requested tolerance.
     f = parse_function("exp(x)", lower_limit=-math.inf)
-    (r,) = apply(expr, f, [0.0], Method.BOTH)
-    assert r.status is EvalStatus.UNSUPPORTED
-    assert r.reference is None
-    # classical value is e^x; recorded, not an identity the backend asserts
-    assert rel(r.value, 1.0) <= 1e-8
+    xs = [-3.0, 0.0, 1.7, 5.0]
+    for op in (
+        "J^(0.5)", "J^(1+1i)", "J^(2.5-2i)", "J^(0.2+3i)", "J^(0+1i)",
+        "D^(0.5)", "D^(1.5+1i)", "D^(2.9-2i)", "D^(0.2+3i)", "D^(0.3).J^(1.1+0.4i)",
+    ):
+        results = apply(parse_operator(op, lower_limit=-math.inf), f, xs, Method.BOTH)
+        for r in results:
+            assert r.status is EvalStatus.OK, (op, r)
+            assert r.reference == math.exp(r.x)
+            assert r.rel_err <= 1e-9, (op, r)
 
 
 def test_exp_numeric_derivative_branch():
@@ -212,7 +218,7 @@ def test_multi_term_numeric_sums_terms():
 
 
 def test_net_derivative_route_numeric_vs_closed():
-    # D^(0.3).J^(0.1) has net order -0.2: the differentiate branch with k=1.
+    # D^(0.3).J^(0.1) has net order -0.2: a derivative of order 0.2, k = 1.
     expr = parse_operator("D^(0.3).J^(0.1)")
     f = parse_function("x^(1.5)")
     (r,) = apply(expr, f, [1.5], Method.BOTH)
@@ -238,6 +244,19 @@ def test_exp_lower_inf_derivatives_meet_rel_tol():
         for r in apply(expr, f, xs, Method.NUMERIC):
             assert r.status is EvalStatus.OK
             assert rel(r.value, (1.5 - 0.5j) * math.exp(r.x)) <= 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="every point is domain_error: the k = 7 difference stencil leaves (0, inf)",
+)
+def test_high_order_power_derivative_meets_rel_tol():
+    # D^6.3 x^0.5 = Gamma(1.5)/Gamma(-4.8) x^-5.8 has a closed form, so no
+    # point should fail numerically.
+    results = apply(parse_operator("D^(6.3)"), parse_function("x^(0.5)"), [1.0, 5.0, 10.0])
+    for r in results:
+        assert r.status is EvalStatus.OK, r
+        assert r.rel_err <= 1e-9, r
 
 
 def test_exp_lower_inf_grid_makes_one_quadrature(monkeypatch):

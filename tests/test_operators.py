@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from complexorder import (
-    Branch,
     DomainError,
     OperatorExpr,
     OperatorStage,
@@ -26,38 +25,40 @@ def D(order):
     return OperatorStage(OpKind.DERIVATIVE, order)
 
 
+def k_of(sigma):
+    """Derivative index of the route J^sigma takes: 0 for a net integral."""
+    return 0 if sigma.real > 0 else choose_k(-sigma)
+
+
 def test_normalize_pure_integrals():
     net = normalize(OperatorExpr(stages=(J(0.5), J(0.5))))
     assert net.sigma == 1
-    assert net.branch is Branch.INTEGRATE
-    assert net.k == 0
 
 
 def test_normalize_exact_cancellation():
     s = 0.6 - 0.4j
     net = normalize(OperatorExpr(stages=(D(s), J(s))))
     assert net.sigma == 0
-    assert net.branch is Branch.IDENTITY
 
 
 def test_normalize_mixed_chain():
     net = normalize(OperatorExpr(stages=(D(0.3 + 0.2j), J(0.5))))
     assert abs(net.sigma - (0.2 - 0.2j)) <= 1e-16
-    assert net.branch is Branch.INTEGRATE
 
 
 def test_normalize_net_derivative_k_rule():
     net = normalize(OperatorExpr(stages=(D(2.5 + 1j),)))
-    assert net.branch is Branch.DIFFERENTIATE
-    assert net.k == 3
-    assert (net.k + net.sigma).real > 0
+    assert net.sigma == -(2.5 + 1j)
+    assert choose_k(-net.sigma) == 3
+    assert (3 + net.sigma).real > 0
 
 
 def test_normalize_pure_imaginary_net_order_differentiates_with_k1():
     net = normalize(OperatorExpr(stages=(J(1j),)))
-    assert net.branch is Branch.DIFFERENTIATE
-    assert net.k == 1
-    assert (net.k + net.sigma).real > 0
+    assert net.sigma == 1j
+    assert not net.sigma.real > 0
+    assert choose_k(-net.sigma) == 1
+    assert (1 + net.sigma).real > 0
 
 
 @pytest.mark.parametrize(
@@ -83,7 +84,7 @@ def test_normalize_invariant_under_permutation():
         net2 = normalize(OperatorExpr(stages=tuple(shuffled)))
         assert abs(net.sigma - net2.sigma) <= 1e-13 * max(1.0, abs(net.sigma))
         if abs(net.sigma) > 1e-12:
-            assert net.branch is net2.branch
+            assert k_of(net.sigma) == k_of(net2.sigma)
 
 
 def test_normalize_invariant_under_stage_splitting():
@@ -94,7 +95,7 @@ def test_normalize_invariant_under_stage_splitting():
         whole = normalize(OperatorExpr(stages=(J(s),)))
         split = normalize(OperatorExpr(stages=(J(s * t), J(s * (1 - t)))))
         assert abs(whole.sigma - split.sigma) <= 1e-13 * abs(s)
-        assert whole.branch is split.branch
+        assert k_of(whole.sigma) == k_of(split.sigma) == 0
 
 
 def test_derivative_stage_of_order_zero_rejected():
@@ -102,7 +103,7 @@ def test_derivative_stage_of_order_zero_rejected():
         OperatorStage(OpKind.DERIVATIVE, 0j)
     # J^0 is the explicit identity stage
     net = normalize(OperatorExpr(stages=(J(0j),)))
-    assert net.branch is Branch.IDENTITY
+    assert net.sigma == 0
 
 
 def test_parse_operator_chain():

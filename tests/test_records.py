@@ -7,7 +7,6 @@ import pickle
 import pytest
 
 from complexorder import (
-    Branch,
     CausalFunction,
     DomainError,
     EvalResult,
@@ -65,8 +64,8 @@ CASES = {
         (lambda: OperatorExpr(stages=(), lower_limit=math.nan), DomainError),
     ),
     "NetOperator": (
-        lambda: NetOperator(sigma=-0.5 + 0j, branch=Branch.DIFFERENTIATE, k=1),
-        "NetOperator(sigma=(-0.5+0j), branch=<Branch.DIFFERENTIATE: 'differentiate'>, k=1)",
+        lambda: NetOperator(sigma=-0.5 + 0j),
+        "NetOperator(sigma=(-0.5+0j))",
         None,
     ),
     "EvalResult": (
