@@ -13,12 +13,12 @@ from complexorder import (
     QuadConfig,
     complex_pow,
     integrate_numeric,
-    integrate_power,
+    power_image,
 )
 
 
 def closed(p, s, x):
-    coef, exponent = integrate_power(p, s)
+    coef, exponent = power_image(p, s)
     return coef * complex_pow(x, exponent)
 
 

@@ -16,7 +16,7 @@ net order before evaluation, and a small text grammar plus CLI front end
 closed-vs-numeric comparisons.
 """
 
-from .closed_form import apply_closed, differentiate_power, integrate_power
+from .closed_form import apply_closed, power_image
 from .errors import (
     ComplexOrderError,
     ConvergenceError,
@@ -86,17 +86,16 @@ __all__ = [
     "choose_k",
     "complex_pow",
     "differentiate_numeric",
-    "differentiate_power",
     "gamma",
     "gamma_ratio",
     "integrate_exp_lower_inf",
     "integrate_numeric",
-    "integrate_power",
     "is_near_pole",
     "linear_combine",
     "log_gamma",
     "normalize",
     "parse_function",
     "parse_operator",
+    "power_image",
     "__version__",
 ]

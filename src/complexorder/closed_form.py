@@ -1,13 +1,12 @@
 """Exact operator action on power functions via Gamma-ratio coefficients.
 
-On a power term (x - x0)^p the integral and derivative of complex order act
-multiplicatively:
+On a power term (x - x0)^p the operators of complex order act
+multiplicatively, by one rule in the signed order sigma (J^sigma = D^-sigma,
+so J^s is sigma = s and D^s is sigma = -s):
 
-    J^s: (x-x0)^p  ->  Gamma(p+1)/Gamma(s+p+1) * (x-x0)^(p+s)      Re(s) > 0
-    D^s: (x-x0)^p  ->  Gamma(p+1)/Gamma(p-s+1) * (x-x0)^(p-s)      Re(s) >= 0
+    J^sigma: (x-x0)^p  ->  Gamma(p+1)/Gamma(p+sigma+1) * (x-x0)^(p+sigma)
 
-With J^sigma = D^-sigma both are one rule in the signed order sigma.  The
-coefficient is formed in log space; a pole in the denominator
+The coefficient is formed in log space; a pole in the denominator
 Gamma yields an exactly zero coefficient, which is how D^2 annihilates x.
 With x0 = -inf the only closed form available is e^x, an eigenfunction of
 every order: Euler's integral Gamma(s) = int_0^inf t^(s-1) e^-t dt gives
@@ -21,43 +20,20 @@ from .functions import CausalFunction, PowerTerm
 from .operators import OperatorExpr, normalize
 from .special import gamma_ratio
 
-__all__ = ["apply_closed", "differentiate_power", "integrate_power"]
+__all__ = ["apply_closed", "power_image"]
 
 
-def _power_image(p: complex, sigma: complex) -> tuple[complex, complex]:
-    """Gamma(p+1)/Gamma(p+sigma+1) and p+sigma: J^sigma = D^-sigma applied to
-    the power p, for either sign of Re(sigma).  Requires Re(p) > -1."""
+def power_image(p: complex, sigma: complex) -> tuple[complex, complex]:
+    """Coefficient Gamma(p+1)/Gamma(p+sigma+1) and exponent p+sigma of
+    J^sigma = D^-sigma applied to the power p, for every complex sigma.
+
+    Requires Re(p) > -1 (integrability at the lower endpoint).  The
+    coefficient is exactly 0 when p + sigma + 1 hits a Gamma pole.
+    """
+    p, sigma = complex(p), complex(sigma)
     if p.real <= -1.0:
         raise DomainError(f"a power term needs Re(p) > -1, got p = {p!r}")
     return gamma_ratio(p + 1.0, p + sigma + 1.0), p + sigma
-
-
-def integrate_power(p: complex, s: complex) -> tuple[complex, complex]:
-    """Coefficient and exponent of J^s applied to the power p.
-
-    Requires Re(p) > -1 (integrability at the lower endpoint) and
-    Re(s) > 0.
-    """
-    p, s = complex(p), complex(s)
-    if s.real <= 0.0:
-        raise DomainError(f"integrate_power needs Re(s) > 0, got s = {s!r}")
-    return _power_image(p, s)
-
-
-def differentiate_power(p: complex, s: complex) -> tuple[complex, complex]:
-    """Coefficient and exponent of D^s applied to the power p.
-
-    Requires Re(p) > -1 and Re(s) >= 0 (the purely imaginary case is valid:
-    the coefficient formula does not involve the construction index k).
-    The coefficient is exactly 0 when p - s + 1 hits a Gamma pole.
-    """
-    p, s = complex(p), complex(s)
-    if s.real < 0.0:
-        raise DomainError(
-            f"differentiate_power needs Re(s) >= 0, got s = {s!r}; "
-            "use integrate_power for net integrals"
-        )
-    return _power_image(p, -s)
 
 
 def apply_closed(expr: OperatorExpr, f: CausalFunction) -> CausalFunction:
@@ -76,6 +52,6 @@ def apply_closed(expr: OperatorExpr, f: CausalFunction) -> CausalFunction:
         return f
     new_terms = []
     for term in f.terms:
-        coef, exponent = _power_image(term.exponent, sigma)
+        coef, exponent = power_image(term.exponent, sigma)
         new_terms.append(PowerTerm(term.coef * coef, exponent))
     return CausalFunction(terms=tuple(new_terms), exp_coef=f.exp_coef, lower_limit=f.lower_limit)

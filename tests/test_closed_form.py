@@ -13,11 +13,10 @@ from complexorder import (
     OpKind,
     PowerTerm,
     apply_closed,
-    differentiate_power,
-    integrate_power,
     linear_combine,
     parse_function,
     parse_operator,
+    power_image,
 )
 
 
@@ -41,112 +40,124 @@ D_COEF_REFERENCES = [
 
 
 def test_integrate_power_trivial():
-    coef, exponent = integrate_power(1 + 0j, 1 + 0j)
+    coef, exponent = power_image(1 + 0j, 1 + 0j)
     assert rel(coef, 0.5) <= 1e-14
     assert exponent == 2
 
 
 def test_integrate_power_half_order():
     # 1/Gamma(2.5) with Gamma(2.5) = (3/4) sqrt(pi)
-    coef, exponent = integrate_power(1 + 0j, 0.5 + 0j)
+    coef, exponent = power_image(1 + 0j, 0.5 + 0j)
     assert rel(coef, 0.7522527780636751) <= 1e-13
     assert exponent == 1.5
 
 
 @pytest.mark.parametrize("p,s,expected", J_COEF_REFERENCES)
 def test_integrate_power_references(p, s, expected):
-    coef, exponent = integrate_power(p, s)
+    # J^s is the signed order sigma = s.
+    coef, exponent = power_image(p, s)
     assert rel(coef, expected) <= 1e-12
     assert exponent == p + s
 
 
 def test_differentiate_power_annihilates_lower_degree():
-    coef, exponent = differentiate_power(1 + 0j, 2 + 0j)
+    coef, exponent = power_image(1 + 0j, -2 + 0j)
     assert coef == 0
     assert exponent == -1
 
 
 def test_differentiate_power_half_order():
     # Gamma(2)/Gamma(1.5) = 2/sqrt(pi)
-    coef, exponent = differentiate_power(1 + 0j, 0.5 + 0j)
+    coef, exponent = power_image(1 + 0j, -0.5 + 0j)
     assert rel(coef, 1.1283791670955126) <= 1e-13
     assert exponent == 0.5
 
 
 @pytest.mark.parametrize("p,s,expected", D_COEF_REFERENCES)
 def test_differentiate_power_references(p, s, expected):
-    coef, exponent = differentiate_power(p, s)
+    # D^s is the signed order sigma = -s.
+    coef, exponent = power_image(p, -s)
     assert rel(coef, expected) <= 1e-12
     assert exponent == p - s
 
 
 def test_differentiate_power_pure_imaginary_order():
-    coef, exponent = differentiate_power(1 + 0j, 0.5j)
+    coef, exponent = power_image(1 + 0j, -0.5j)
     assert exponent == 1 - 0.5j
     assert abs(coef) > 0
 
 
 def test_power_preconditions():
+    # Every complex order is accepted; only a power that is not integrable
+    # at the lower limit is refused.
     with pytest.raises(DomainError):
-        integrate_power(-1.5 + 0j, 0.5 + 0j)
+        power_image(-1.5 + 0j, 0.5 + 0j)
     with pytest.raises(DomainError):
-        integrate_power(1 + 0j, -0.5 + 0j)
-    with pytest.raises(DomainError):
-        differentiate_power(-1.0 + 0j, 0.5 + 0j)
-    with pytest.raises(DomainError):
-        differentiate_power(1 + 0j, -0.1 + 0j)
+        power_image(-1.0 + 0j, -0.5 + 0j)
 
 
-def test_integration_semigroup_on_coefficients():
-    rng = np.random.default_rng(31)
+def _integration_semigroup(rng):
+    # J^s1 J^s2 = J^(s1+s2)
+    s1 = complex(rng.uniform(0.05, 2.5), rng.uniform(-2, 2))
+    s2 = complex(rng.uniform(0.05, 2.5), rng.uniform(-2, 2))
+    p = complex(rng.uniform(-0.5, 3.0), rng.uniform(-2, 2))
+    return p, s2, s1
+
+
+def _differentiation_semigroup(rng):
+    # D^s1 D^s2 = D^(s1+s2), on powers that stay integrable after D^s2
+    s1 = complex(rng.uniform(0.05, 1.2), rng.uniform(-1.5, 1.5))
+    s2 = complex(rng.uniform(0.05, 1.2), rng.uniform(-1.5, 1.5))
+    p = complex(rng.uniform(1.5, 3.0), rng.uniform(-2, 2))
+    return p, -s2, -s1
+
+
+def _left_inverse(rng):
+    # D^s J^s = identity
+    s = complex(rng.uniform(0.05, 2.5), rng.uniform(-2, 2))
+    p = complex(rng.uniform(-0.5, 3.0), rng.uniform(-2, 2))
+    return p, s, -s
+
+
+def _mixed_first_derivative(rng):
+    # D^1 J^s = J^(s-1) for Re(s) > 1
+    s = complex(rng.uniform(1.05, 3.0), rng.uniform(-2, 2))
+    p = complex(rng.uniform(-0.5, 3.0), rng.uniform(-2, 2))
+    return p, s, -1 + 0j
+
+
+@pytest.mark.parametrize(
+    "seed,draw",
+    [
+        (31, _integration_semigroup),
+        (32, _differentiation_semigroup),
+        (33, _left_inverse),
+        (34, _mixed_first_derivative),
+    ],
+    ids=["integration-semigroup", "differentiation-semigroup", "left-inverse", "mixed-first-derivative"],
+)
+def test_signed_order_composition(seed, draw):
+    # J^b J^a = J^(a+b) on the coefficients, for signed orders a, b.
+    rng = np.random.default_rng(seed)
     for _ in range(100):
-        s1 = complex(rng.uniform(0.05, 2.5), rng.uniform(-2, 2))
-        s2 = complex(rng.uniform(0.05, 2.5), rng.uniform(-2, 2))
-        p = complex(rng.uniform(-0.5, 3.0), rng.uniform(-2, 2))
-        c2, e2 = integrate_power(p, s2)
-        c1, e1 = integrate_power(e2, s1)
-        cd, ed = integrate_power(p, s1 + s2)
-        assert rel(c1 * c2, cd) <= 1e-11
-        assert abs(e1 - ed) <= 1e-12
-
-
-def test_differentiation_semigroup_on_coefficients():
-    rng = np.random.default_rng(32)
-    for _ in range(100):
-        s1 = complex(rng.uniform(0.05, 1.2), rng.uniform(-1.5, 1.5))
-        s2 = complex(rng.uniform(0.05, 1.2), rng.uniform(-1.5, 1.5))
-        p = complex(rng.uniform(1.5, 3.0), rng.uniform(-2, 2))
-        c2, e2 = differentiate_power(p, s2)
-        c1, e1 = differentiate_power(e2, s1)
-        cd, ed = differentiate_power(p, s1 + s2)
-        if abs(cd) < 1e-10:
+        p, a, b = draw(rng)
+        ca, ea = power_image(p, a)
+        cb, eb = power_image(ea, b)
+        cd, ed = power_image(p, a + b)
+        if abs(cd) < 1e-10:  # near a pole of Gamma(p+a+b+1): no relative precision
             continue
-        assert rel(c1 * c2, cd) <= 1e-11
-        assert abs(e1 - ed) <= 1e-12
+        assert rel(ca * cb, cd) <= 1e-11
+        assert abs(eb - ed) <= 1e-12
 
 
-def test_left_inverse_on_coefficients():
-    rng = np.random.default_rng(33)
-    for _ in range(100):
-        s = complex(rng.uniform(0.05, 2.5), rng.uniform(-2, 2))
-        p = complex(rng.uniform(-0.5, 3.0), rng.uniform(-2, 2))
-        cj, ej = integrate_power(p, s)
-        cd, ed = differentiate_power(ej, s)
-        assert rel(cj * cd, 1.0) <= 1e-11
-        assert abs(ed - p) <= 1e-12
-
-
-def test_mixed_first_derivative_relation():
-    # D^1 (J^s x^p) == J^(s-1) x^p for Re(s) > 1
-    rng = np.random.default_rng(34)
-    for _ in range(100):
-        s = complex(rng.uniform(1.05, 3.0), rng.uniform(-2, 2))
-        p = complex(rng.uniform(-0.5, 3.0), rng.uniform(-2, 2))
-        cj, ej = integrate_power(p, s)
-        cd, ed = differentiate_power(ej, 1 + 0j)
-        cref, eref = integrate_power(p, s - 1)
-        assert rel(cj * cd, cref) <= 1e-11
-        assert abs(ed - eref) <= 1e-12
+@pytest.mark.parametrize(
+    "op,sigma", [("J^(0+1i)", 1j), ("J^(-0.5+0.2i)", -0.5 + 0.2j), ("D^(-0.5)", 0.5 + 0j)]
+)
+def test_power_image_matches_apply_closed_at_any_sign(op, sigma):
+    # Orders with Re(sigma) <= 0 on J, or Re(sigma) >= 0 on D, take the same rule.
+    p = 1.5 + 0.5j
+    image = apply_closed(parse_operator(op), parse_function("x^(1.5+0.5i)"))
+    assert image.terms == (PowerTerm(*power_image(p, sigma)),)
 
 
 # ----------------------------------------------------------- apply_closed
