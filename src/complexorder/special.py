@@ -11,7 +11,10 @@ formula
 
 whose log-sine term is unwound through its exponential factorization so
 the imaginary part stays continuous for large |Im(z)|.  ``gamma`` is
-exp(log_gamma), so one Lanczos evaluator serves both.
+exp(log_gamma), so one Lanczos evaluator serves both.  Gamma of real
+arguments is real, so ``gamma``, ``gamma_ratio`` and ``beta`` return an
+imaginary part of exactly 0.0 there rather than the rounding residue of
+the phase k*pi (or of the reflection formula's log-sine).
 
 Quotients of Gamma values are always formed in log space (``gamma_ratio``,
 ``beta``); the reciprocal of Gamma is entire, so a quotient whose
@@ -92,7 +95,13 @@ def gamma(z: complex) -> complex:
     gracefully further out until the result overflows (near Re(z) ~ 172 on
     the real axis).
     """
-    return cmath.exp(log_gamma(z))
+    return _exp(log_gamma(z), complex(z).imag == 0.0)
+
+
+def _exp(w: complex, real: bool) -> complex:
+    # exp of a sum of log_gamma values; real Gamma arguments give a real value.
+    v = cmath.exp(w)
+    return complex(v.real, 0.0) if real else v
 
 
 def _log_sin_pi_upper(z: complex) -> complex:
@@ -133,7 +142,7 @@ def gamma_ratio(num: complex, den: complex) -> complex:
         raise DomainError(f"gamma_ratio: denominator must be finite, got {den!r}")
     if is_near_pole(den):
         return 0j
-    return cmath.exp(log_gamma(num) - log_gamma(den))
+    return _exp(log_gamma(num) - log_gamma(den), num.imag == 0.0 and den.imag == 0.0)
 
 
 def beta(s1: complex, s2: complex) -> complex:
@@ -147,7 +156,8 @@ def beta(s1: complex, s2: complex) -> complex:
     s2 = _require_regular(s2, "beta second argument")
     if is_near_pole(s1 + s2):
         return 0j
-    return cmath.exp(log_gamma(s1) + log_gamma(s2) - log_gamma(s1 + s2))
+    log_b = log_gamma(s1) + log_gamma(s2) - log_gamma(s1 + s2)
+    return _exp(log_b, s1.imag == 0.0 and s2.imag == 0.0)
 
 
 def complex_pow(x: float, s: complex) -> complex:

@@ -246,6 +246,18 @@ def test_exp_lower_inf_derivatives_meet_rel_tol():
             assert rel(r.value, (1.5 - 0.5j) * math.exp(r.x)) <= 1e-9
 
 
+def test_real_orders_on_real_powers_give_real_values():
+    # Gamma of real arguments is real: the closed D^6.3 x^0.5 divides by
+    # Gamma(-4.8), and the numeric D^0.7 x^1.5 by Gamma(0.3) (reflection).
+    (r,) = apply(parse_operator("D^(6.3)"), parse_function("x^(0.5)"), [1.0], Method.CLOSED)
+    assert r.value.imag == 0.0
+    expr, f = parse_operator("D^(0.7)"), parse_function("x^(1.5)")
+    for r in apply(expr, f, [0.5, 1.25, 2.0], Method.BOTH):
+        assert r.status is EvalStatus.OK
+        assert r.value.imag == 0.0
+        assert r.reference.imag == 0.0
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="every point is domain_error: the k = 7 difference stencil leaves (0, inf)",
