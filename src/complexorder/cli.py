@@ -134,8 +134,10 @@ def _emit(text: str, out: str | None) -> None:
 def _run_eval(args) -> int:
     if (args.at is None) == (args.grid is None):
         raise _UsageError("exactly one of --at or --grid is required")
-    if args.rel_tol is not None and not args.rel_tol > 0:
-        raise _UsageError(f"--rel-tol must be > 0, got {args.rel_tol}")
+    try:
+        cfg = QuadConfig() if args.rel_tol is None else QuadConfig(rel_tol=args.rel_tol)
+    except ValueError as exc:
+        raise _UsageError(f"--rel-tol: {exc}") from None
     x0 = _parse_x0(args.x0)
     xs = args.at if args.at is not None else _parse_grid(args.grid)
 
@@ -150,9 +152,8 @@ def _run_eval(args) -> int:
         return 2
 
     try:
-        cfg = QuadConfig() if args.rel_tol is None else QuadConfig(rel_tol=args.rel_tol)
         results = apply(op, fn, xs, method=Method(args.method), cfg=cfg)
-    except (ComplexOrderError, ValueError) as exc:
+    except ComplexOrderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -185,16 +186,20 @@ def _run_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def _join_x0(argv: list[str]) -> list[str]:
-    # argparse mistakes "-inf" for a flag; splice "--x0 -inf" into one token.
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    # argparse takes a value that starts with "-" ("--x0 -inf", "--grid
+    # -1:1:3", "--fn -2*x") for a flag: a long option followed by a token
+    # with a single leading "-" takes that token as its value.
     out = []
     i = 0
     while i < len(argv):
-        if argv[i] == "--x0" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"--x0={argv[i + 1]}")
+        token = argv[i]
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if token.startswith("--") and "=" not in token and nxt[:1] == "-" and nxt[:2] != "--":
+            out.append(f"{token}={nxt}")
             i += 2
             continue
-        out.append(argv[i])
+        out.append(token)
         i += 1
     return out
 
@@ -204,7 +209,7 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    argv = _join_x0(list(argv))
+    argv = _attach_dash_values(list(argv))
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -90,14 +90,15 @@ _DEGREES = (32, 64, 128, 256)
 
 
 class QuadConfig(namedtuple("QuadConfig", "rel_tol")):
-    """Quadrature tolerance: rel_tol is the relative agreement that two
-    successive estimates on the degree ladder 32, 64, 128, 256 must reach."""
+    """Quadrature tolerance: rel_tol (finite, > 0) is the relative agreement
+    that two successive estimates on the degree ladder 32, 64, 128, 256 must
+    reach."""
 
     __slots__ = ()
 
     def __new__(cls, rel_tol: float = 1e-9):
-        if not rel_tol > 0:
-            raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
+        if not 0 < rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
         return super().__new__(cls, rel_tol)
 
 

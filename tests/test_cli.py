@@ -1,6 +1,7 @@
 """Command-line front end: flags, formats, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -160,14 +161,41 @@ def test_exit_code_usage_error(capture):
 
 
 def test_exit_code_rel_tol_usage_error(capture):
-    # A tolerance that is not > 0 is a bad option (1), not a domain error (2).
-    for tol in ("0", "-1e-9", "nan"):
+    # A tolerance that is not finite and > 0 is a bad option (1), not a
+    # domain error (2).
+    for tol in ("0", "-1e-9", "nan", "inf"):
         code, out, err = capture(
             ["eval", "--op", "J^(1)", "--fn", "x", "--at", "1", f"--rel-tol={tol}"]
         )
         assert code == 1
         assert out == ""
         assert err.startswith("usage error: --rel-tol")
+
+
+@pytest.mark.parametrize(
+    "argv,rows",
+    [
+        (
+            ["--op", "J^(1)", "--fn", "x", "--x0", "-2", "--grid", "-1:1:3"],
+            [(-1.0, 0.5), (0.0, 2.0), (1.0, 4.5)],
+        ),
+        (
+            ["--op", "J^(0.5)", "--fn", "exp(x)", "--x0", "-inf", "--grid", "-3:0:4"],
+            [(x, math.exp(x)) for x in (-3.0, -2.0, -1.0, 0.0)],
+        ),
+        (["--op", "J^(1)", "--fn", "-2*x", "--at", "2"], [(2.0, -4.0)]),
+    ],
+    ids=["x0-and-grid", "x0-inf-and-grid", "fn"],
+)
+def test_option_values_may_start_with_a_dash(capture, argv, rows):
+    # argparse alone reads "-2", "-1:1:3", "-inf" and "-2*x" as flags.
+    code, out, err = capture(["eval", *argv, "--method", "closed"])
+    assert code == 0, err
+    got = [tuple(map(float, line.split(","))) for line in out.strip().splitlines()[1:]]
+    assert [x for x, _, _ in got] == [x for x, _ in rows]
+    for (_, re, im), (_, expected) in zip(got, rows):
+        assert abs(re - expected) <= 1e-13 * max(1.0, abs(expected))
+        assert im == 0.0
 
 
 def test_exit_code_domain_error(capture):

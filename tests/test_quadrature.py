@@ -54,6 +54,10 @@ def test_quad_config_validation():
     assert QuadConfig._fields == ("rel_tol",)
     with pytest.raises(ValueError):
         QuadConfig(rel_tol=0.0)
+    # An infinite tolerance would accept any pair of estimates, and 0/0 on
+    # a zero integrand.
+    with pytest.raises(ValueError):
+        QuadConfig(rel_tol=math.inf)
 
 
 def test_build_moments_unit_order():
