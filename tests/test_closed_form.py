@@ -154,7 +154,7 @@ def test_signed_order_composition(seed, draw):
     "op,sigma", [("J^(0+1i)", 1j), ("J^(-0.5+0.2i)", -0.5 + 0.2j), ("D^(-0.5)", 0.5 + 0j)]
 )
 def test_power_image_matches_apply_closed_at_any_sign(op, sigma):
-    # Orders with Re(sigma) <= 0 on J, or Re(sigma) >= 0 on D, take the same rule.
+    # J at Re(s) <= 0 and D at Re(s) < 0 map through the same signed rule.
     p = 1.5 + 0.5j
     image = apply_closed(parse_operator(op), parse_function("x^(1.5+0.5i)"))
     assert image.terms == (PowerTerm(*power_image(p, sigma)),)

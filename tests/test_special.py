@@ -105,24 +105,16 @@ def test_gamma_conjugate_symmetry():
         assert rel(gamma(z.conjugate()), gamma(z).conjugate()) <= 1e-12
 
 
-@pytest.mark.parametrize("z", [-4.8, -0.5, -12.3, 0.3, 2.5, 7.25])
-def test_gamma_is_real_on_the_real_axis(z):
-    # log_gamma carries the phase k*pi at negative non-integers; Gamma itself
-    # is real there, and math.gamma is an independent real reference.
-    for arg in (z, complex(z, 0.0)):
-        g = gamma(arg)
-        assert g.imag == 0.0
-        assert rel(g.real, math.gamma(z)) <= 1e-12
-
-
-def test_gamma_is_real_on_the_reflection_branch():
-    # Re(z) < 0.5 goes through the reflection formula, whose log-sine
-    # leaves a rounding residue in the phase.
+def test_gamma_is_real_on_the_real_axis():
+    # log_gamma carries the phase k*pi at negative non-integers, and the
+    # reflection formula (Re z < 0.5) leaves a rounding residue in it; Gamma
+    # itself is real there, and math.gamma is an independent reference.
     rng = np.random.default_rng(62)
-    for s in rng.uniform(1e-6, 0.5, 2000):
-        g = gamma(s)
-        assert g.imag == 0.0
-        assert rel(g.real, math.gamma(s)) <= 1e-12
+    for z in [-12.3, -4.8, -0.5, 2.5, 7.25, *rng.uniform(1e-6, 0.5, 2000)]:
+        for arg in (z, complex(z, 0.0)):
+            g = gamma(arg)
+            assert g.imag == 0.0
+            assert rel(g.real, math.gamma(z)) <= 1e-12
 
 
 @pytest.mark.parametrize("num,den", [(1.5, -4.8), (-4.8, 0.3), (0.2, 0.45), (-2.5, -1.7)])
