@@ -31,7 +31,6 @@ from .functions import (
     CausalFunction,
     OpaqueFunction,
     PowerTerm,
-    linear_combine,
     parse_function,
 )
 from .operators import (
@@ -44,11 +43,7 @@ from .operators import (
     parse_operator,
 )
 from .quadrature import (
-    MomentTable,
     QuadConfig,
-    build_moments,
-    central_derivative,
-    chebyshev_power_moments,
     differentiate_numeric,
     integrate_exp_lower_inf,
     integrate_numeric,
@@ -66,7 +61,6 @@ __all__ = [
     "EvalStatus",
     "Method",
     "MismatchError",
-    "MomentTable",
     "NetOperator",
     "OpKind",
     "OpaqueFunction",
@@ -80,9 +74,6 @@ __all__ = [
     "apply",
     "apply_closed",
     "beta",
-    "build_moments",
-    "central_derivative",
-    "chebyshev_power_moments",
     "choose_k",
     "complex_pow",
     "differentiate_numeric",
@@ -91,7 +82,6 @@ __all__ = [
     "integrate_exp_lower_inf",
     "integrate_numeric",
     "is_near_pole",
-    "linear_combine",
     "log_gamma",
     "normalize",
     "parse_function",

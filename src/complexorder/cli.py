@@ -140,6 +140,10 @@ def _run_eval(args) -> int:
         raise _UsageError(f"--rel-tol: {exc}") from None
     x0 = _parse_x0(args.x0)
     xs = args.at if args.at is not None else _parse_grid(args.grid)
+    # A grid with finite ends can still overflow (b - a), and JSON has no NaN.
+    bad = next((x for x in xs if not math.isfinite(x)), None)
+    if bad is not None:
+        raise _UsageError(f"evaluation points must be finite, got {bad!r}")
 
     try:
         fn = parse_function(args.fn, lower_limit=x0)

@@ -19,7 +19,7 @@ from collections import namedtuple
 from typing import Callable
 
 from ._parsing import TokenStream, parse_complex, tokenize
-from .errors import DomainError, MismatchError, ParseError
+from .errors import DomainError, ParseError
 from .special import complex_pow
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "CausalFunction",
     "OpaqueFunction",
     "PowerTerm",
-    "linear_combine",
     "parse_function",
 ]
 
@@ -143,27 +142,6 @@ class OpaqueFunction(namedtuple("OpaqueFunction", "fn lower_limit")):
 def _render_complex(z: complex) -> str:
     sign = "+" if z.imag >= 0 else "-"
     return f"({z.real!r}{sign}{abs(z.imag)!r}i)"
-
-
-def linear_combine(
-    a: complex,
-    f: CausalFunction,
-    b: complex,
-    g: CausalFunction,
-) -> CausalFunction:
-    """a*f + b*g, term-merged; the lower limits must agree."""
-    if f.lower_limit != g.lower_limit:
-        raise MismatchError(
-            f"lower limits differ: {f.lower_limit!r} vs {g.lower_limit!r}"
-        )
-    a, b = complex(a), complex(b)
-    terms = [PowerTerm(a * t.coef, t.exponent) for t in f.terms]
-    terms += [PowerTerm(b * t.coef, t.exponent) for t in g.terms]
-    return CausalFunction(
-        terms=tuple(terms),
-        exp_coef=a * f.exp_coef + b * g.exp_coef,
-        lower_limit=f.lower_limit,
-    )
 
 
 def parse_function(text: str, lower_limit: float = 0.0) -> CausalFunction:

@@ -17,10 +17,12 @@ The q_j satisfy a three-term recurrence (seeded by exact rational values)
 that is run forward; its error growth is linear in j, which keeps the
 moments accurate to ~1e-13 of the leading moment across the whole range
 used here.  Integrating the interpolant in its Chebyshev basis is the
-numerically sound equivalent of converting it to monomials and using the
-integer kernel moments B(s, k+1): the monomial route is exact in exact
-arithmetic but amplifies rounding like 4^degree, so it is used only as a
-low-degree cross-check in the test suite.
+numerically sound equivalent of converting it to monomials and integrating
+those against the kernel moments B(s, k+1): the conversion amplifies
+rounding like 4^degree, so the package never takes that route.  The rule
+below is exact on u^k for k < n, so its reversed weights reproduce
+B(s, k+1); acceptance criterion 9 and the selftest check
+``moment_recurrence`` verify this at n = 64.
 
 Folding the interpolation into the moments gives one weight vector per
 (sigma, n), the classical product-integration rule:
@@ -73,9 +75,7 @@ from .errors import ConvergenceError, DomainError
 from .special import complex_pow, gamma
 
 __all__ = [
-    "MomentTable",
     "QuadConfig",
-    "build_moments",
     "central_derivative",
     "chebyshev_power_moments",
     "differentiate_numeric",
@@ -100,30 +100,6 @@ class QuadConfig(namedtuple("QuadConfig", "rel_tol")):
         if not 0 < rel_tol < math.inf:
             raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
         return super().__new__(cls, rel_tol)
-
-
-class MomentTable(namedtuple("MomentTable", "order count moments")):
-    """Integer-power kernel moments mu_k = B(s, k+1), k = 0..count-1.
-
-    Built by mu_0 = 1/s and the forward recurrence
-    mu_{k+1} = mu_k (k+1)/(s+k+1); these are the exact integrals of u^k
-    against (1-u)^(s-1) on [0, 1].
-    """
-
-    __slots__ = ()
-
-
-def build_moments(s: complex, n: int) -> MomentTable:
-    """Moment table for the kernel of order ``s`` (Re(s) > 0), size ``n``."""
-    s = complex(s)
-    if not s.real > 0:
-        raise DomainError(f"build_moments needs Re(s) > 0, got {s!r}")
-    if n < 1:
-        raise ValueError(f"moment count must be >= 1, got {n}")
-    mu = [1.0 / s]
-    for k in range(n - 1):
-        mu.append(mu[-1] * (k + 1.0) / (s + k + 1.0))
-    return MomentTable(order=s, count=n, moments=tuple(mu))
 
 
 # --------------------------------------------------------------------------

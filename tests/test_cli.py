@@ -173,6 +173,19 @@ def test_exit_code_rel_tol_usage_error(capture):
 
 
 @pytest.mark.parametrize(
+    "points",
+    [["--at", "nan", "--format", "json"], ["--at", "inf"], ["--grid=-1e308:1e308:3"]],
+    ids=["at-nan-json", "at-inf", "grid-overflow"],
+)
+def test_evaluation_points_must_be_finite(capture, points):
+    # The grid's ends are finite, but b - a overflows to inf.
+    code, out, err = capture(["eval", "--op", "J^(0.5)", "--fn", "x", *points])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: evaluation points must be finite")
+
+
+@pytest.mark.parametrize(
     "argv,rows",
     [
         (

@@ -1,4 +1,4 @@
-"""Function model: parsing, rendering, evaluation, linear combinations."""
+"""Function model: parsing, rendering, evaluation."""
 
 import math
 
@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from complexorder import (
     CausalFunction,
     DomainError,
-    MismatchError,
     OpaqueFunction,
     ParseError,
     PowerTerm,
-    linear_combine,
     parse_function,
 )
 
@@ -154,37 +152,6 @@ def test_opaque_function_needs_finite_limit():
         OpaqueFunction(fn=lambda x: 0j, lower_limit=-math.inf)
     g = OpaqueFunction(fn=lambda x: complex(x * x, 0.0), lower_limit=0.0)
     assert g(2.0) == 4.0
-
-
-# ------------------------------------------------------ linear combinations
-
-
-def test_linear_combine_examples():
-    x = parse_function("x")
-    assert linear_combine(1, x, 1, x).terms == (PowerTerm(2, 1),)
-    assert linear_combine(1, x, -1, x).terms == ()
-    half = parse_function("x^(0.5)")
-    exp = parse_function("exp(x)", lower_limit=-math.inf)
-    combined = linear_combine(2, half, 0, parse_function("x"))
-    assert combined.terms == (PowerTerm(2, 0.5),)
-    with pytest.raises(MismatchError):
-        linear_combine(1, half, 1, exp)
-
-
-def test_linear_combine_evaluates_linearly():
-    rng = np.random.default_rng(21)
-    for _ in range(50):
-        f = _random_function(rng)
-        g = _random_function(rng)
-        a = complex(rng.normal(), rng.normal())
-        b = complex(rng.normal(), rng.normal())
-        h = linear_combine(a, f, b, g)
-        x = rng.uniform(0.2, 3.0)
-        expected = a * f(x) + b * g(x)
-        if abs(expected) < 1e-12:
-            assert abs(h(x) - expected) <= 1e-12
-        else:
-            assert rel(h(x), expected) <= 1e-13
 
 
 # ------------------------------------------------------------- round trips

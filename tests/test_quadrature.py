@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -11,13 +12,10 @@ from complexorder import (
     DomainError,
     EvalStatus,
     Method,
-    MomentTable,
     OpaqueFunction,
     QuadConfig,
     apply,
     beta,
-    build_moments,
-    chebyshev_power_moments,
     complex_pow,
     differentiate_numeric,
     gamma,
@@ -27,7 +25,13 @@ from complexorder import (
     power_image,
 )
 from complexorder import quadrature
-from complexorder.quadrature import _integral01, _weights, central_derivative, cheb_nodes01
+from complexorder.quadrature import (
+    _integral01,
+    _weights,
+    central_derivative,
+    cheb_nodes01,
+    chebyshev_power_moments,
+)
 
 from oracles import CHEBYSHEV_MOMENT_REFERENCES
 
@@ -60,48 +64,6 @@ def test_quad_config_validation():
         QuadConfig(rel_tol=math.inf)
 
 
-def test_build_moments_unit_order():
-    table = build_moments(1 + 0j, 3)
-    assert table.count == 3
-    for got, expected in zip(table.moments, (1.0, 0.5, 1.0 / 3.0)):
-        assert rel(got, expected) <= 1e-15
-
-
-def test_build_moments_order_two():
-    table = build_moments(2 + 0j, 2)
-    for got, expected in zip(table.moments, (0.5, 1.0 / 6.0)):
-        assert rel(got, expected) <= 1e-15
-
-
-def test_build_moments_first_is_reciprocal_order():
-    for s in (0.5 + 0j, 1 + 1j, 0.25 + 2j, 2.7 - 0.4j):
-        table = build_moments(s, 4)
-        assert rel(table.moments[0], 1 / s) <= 1e-13
-
-
-def test_build_moments_forward_recurrence_invariant():
-    for s in (0.5 + 0j, 1 + 1j, 0.25 + 2j):
-        table = build_moments(s, 32)
-        for k in range(table.count - 1):
-            lhs = table.moments[k + 1]
-            rhs = table.moments[k] * (k + 1.0) / (s + k + 1.0)
-            assert rel(lhs, rhs) <= 1e-12
-
-
-def test_build_moments_match_beta():
-    for s in (0.5 + 0.5j, 0.5 + 0j, 1 + 1j, 0.25 + 2j):
-        table = build_moments(s, 64)
-        for k, mu in enumerate(table.moments):
-            assert rel(mu, beta(s, k + 1.0)) <= 1e-12
-
-
-def test_build_moments_domain():
-    with pytest.raises(DomainError):
-        build_moments(-0.5 + 1j, 8)
-    with pytest.raises(ValueError):
-        build_moments(1 + 0j, 0)
-
-
 def test_chebyshev_moments_low_orders():
     # int_0^1 w^(s-1) T*_j(w) dw for j = 0, 1, 2 against the rational forms.
     for s in (0.5 + 0j, 1 + 1j, 0.05 + 0.5j, 3 - 2j):
@@ -115,7 +77,9 @@ def test_chebyshev_moments_agree_with_monomial_route_at_low_degree():
     # The same interpolant integrated in the monomial basis against the
     # integer moments B(s, k+1).  The monomial conversion amplifies
     # rounding like 4^degree, so the cross-check runs at low degree with a
-    # tolerance matching that conditioning.
+    # tolerance matching that conditioning, and the moments come from
+    # 30-digit mpmath: independent 1e-14 errors in double-precision moments
+    # would be amplified past that tolerance too.
     rng = np.random.default_rng(51)
     n = 12
     for s in (0.7 + 0j, 0.5 + 0.25j, 2 - 1j):
@@ -127,7 +91,8 @@ def test_chebyshev_moments_agree_with_monomial_route_at_low_degree():
         # monomial route: T*-series -> monomials in u -> integer beta moments
         series = np.polynomial.chebyshev.Chebyshev(coeffs_cheb, domain=[0, 1])
         poly = series.convert(kind=np.polynomial.Polynomial, domain=[0, 1], window=[0, 1])
-        mu = np.array(build_moments(s, len(poly.coef)).moments)
+        with mpmath.workdps(30):
+            mu = np.array([complex(mpmath.beta(s, k + 1)) for k in range(len(poly.coef))])
         value_mono = np.sum(np.asarray(poly.coef) * mu)
         assert rel(value_cheb, value_mono) <= 1e-8
 
@@ -461,10 +426,3 @@ def test_exp_lower_inf_domain():
         integrate_exp_lower_inf(-1.0, 0.0)
     with pytest.raises(DomainError):
         integrate_exp_lower_inf(0.5, math.inf)
-
-
-def test_moment_table_is_frozen_value():
-    table = build_moments(0.5 + 0.5j, 4)
-    assert isinstance(table, MomentTable)
-    with pytest.raises(AttributeError):
-        table.count = 7

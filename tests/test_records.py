@@ -11,7 +11,6 @@ from complexorder import (
     DomainError,
     EvalResult,
     EvalStatus,
-    MomentTable,
     NetOperator,
     OpaqueFunction,
     OperatorExpr,
@@ -84,11 +83,6 @@ CASES = {
         lambda: QuadConfig(rel_tol=1e-12),
         "QuadConfig(rel_tol=1e-12)",
         (lambda: QuadConfig(rel_tol=0.0), ValueError),
-    ),
-    "MomentTable": (
-        lambda: MomentTable(order=1 + 0j, count=2, moments=(1 + 0j, 0.5 + 0j)),
-        "MomentTable(order=(1+0j), count=2, moments=((1+0j), (0.5+0j)))",
-        None,
     ),
     "CheckResult": (
         lambda: CheckResult(name="semigroup", passed=True, metric=3.5e-12, threshold=1e-6),

@@ -1,0 +1,66 @@
+"""Status gate: a row reported ``ok`` meets rel_tol against a frozen reference.
+
+The references in ``oracles.OPERATOR_REFERENCES`` come from mpmath alone
+(``gen_operator_references.py``), never from the code under test.  Rows with
+an error status carry no claim and are not checked.
+"""
+
+import math
+
+import pytest
+
+from complexorder import (
+    EvalStatus,
+    Method,
+    OpaqueFunction,
+    QuadConfig,
+    apply,
+    parse_function,
+    parse_operator,
+)
+
+from oracles import GATE_POINTS, OPERATOR_REFERENCES
+
+# Finite differences of the inner integral leave ok rows outside rel_tol,
+# mostly at the smallest points: 64 of 177 power rows (worst 5.9e-4) and
+# 36 of 118 opaque rows (worst 2.1e-4), e.g. D^(0.5+0.5i) x^1.5 4 of 16,
+# D^1.5 x^(0.3+0.4i) 6 of 15 (worst 1.9e-4) and D^1.5 y cos 2y 5 of 15.
+_FINITE_DIFFERENCES = pytest.mark.xfail(
+    strict=True, reason="finite-difference derivatives report ok outside rel_tol"
+)
+
+
+def _integrand(integrand, x0):
+    if isinstance(integrand, str):
+        return parse_function(integrand, lower_limit=x0)
+    form, w = integrand
+    wave = (lambda y: y * math.cos(w * y)) if form == "ycos" else (lambda y: math.sin(w * y))
+    return OpaqueFunction(lambda y: wave(y) if y > x0 else 0.0, lower_limit=x0)
+
+
+@pytest.mark.parametrize(
+    "family,operation",
+    [
+        ("power", "J"),
+        pytest.param("power", "D", marks=_FINITE_DIFFERENCES),
+        ("opaque", "J"),
+        pytest.param("opaque", "D", marks=_FINITE_DIFFERENCES),
+        ("exp", "J"),
+        ("exp", "D"),
+    ],
+)
+def test_ok_rows_meet_rel_tol_against_frozen_references(family, operation):
+    cfg = QuadConfig()
+    checked = 0
+    outside = []
+    for op, integrand, x0, refs in OPERATOR_REFERENCES[family, operation]:
+        expr = parse_operator(op, lower_limit=x0)
+        rows = apply(expr, _integrand(integrand, x0), GATE_POINTS, Method.NUMERIC, cfg)
+        for row, ref in zip(rows, refs):
+            if row.status is EvalStatus.OK:
+                checked += 1
+                err = abs(row.value - ref) / abs(ref)
+                if err > cfg.rel_tol:
+                    outside.append((op, integrand, row.x, err))
+    assert checked > 0
+    assert not outside, f"{len(outside)} of {checked} ok rows outside rel_tol: {outside}"
