@@ -14,78 +14,24 @@ An operator-algebra layer collapses chains like D^(0.5).J^(1+1i) to their
 net order before evaluation, and a small text grammar plus CLI front end
 (`complexorder eval`, `complexorder selftest`) expose grids and
 closed-vs-numeric comparisons.
+
+The package namespace is the public names of its modules, each listed
+once in its module's ``__all__``, plus ``__version__``.
 """
 
-from .closed_form import apply_closed, power_image
-from .errors import (
-    ComplexOrderError,
-    ConvergenceError,
-    DomainError,
-    MismatchError,
-    ParseError,
-    PoleError,
-    UnsupportedError,
-)
-from .evaluation import EvalResult, EvalStatus, Method, apply
-from .functions import (
-    CausalFunction,
-    OpaqueFunction,
-    PowerTerm,
-    parse_function,
-)
-from .operators import (
-    NetOperator,
-    OperatorExpr,
-    OperatorStage,
-    OpKind,
-    choose_k,
-    normalize,
-    parse_operator,
-)
-from .quadrature import (
-    QuadConfig,
-    differentiate_numeric,
-    integrate_exp_lower_inf,
-    integrate_numeric,
-)
-from .special import beta, complex_pow, gamma, gamma_ratio, is_near_pole, log_gamma
+from . import closed_form, errors, evaluation, functions, operators, quadrature, special
+from .closed_form import *
+from .errors import *
+from .evaluation import *
+from .functions import *
+from .operators import *
+from .quadrature import *
+from .special import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CausalFunction",
-    "ComplexOrderError",
-    "ConvergenceError",
-    "DomainError",
-    "EvalResult",
-    "EvalStatus",
-    "Method",
-    "MismatchError",
-    "NetOperator",
-    "OpKind",
-    "OpaqueFunction",
-    "OperatorExpr",
-    "OperatorStage",
-    "ParseError",
-    "PoleError",
-    "PowerTerm",
-    "QuadConfig",
-    "UnsupportedError",
-    "apply",
-    "apply_closed",
-    "beta",
-    "choose_k",
-    "complex_pow",
-    "differentiate_numeric",
-    "gamma",
-    "gamma_ratio",
-    "integrate_exp_lower_inf",
-    "integrate_numeric",
-    "is_near_pole",
-    "log_gamma",
-    "normalize",
-    "parse_function",
-    "parse_operator",
-    "power_image",
-    "__version__",
-]
+    name
+    for module in (closed_form, errors, evaluation, functions, operators, quadrature, special)
+    for name in module.__all__
+] + ["__version__"]

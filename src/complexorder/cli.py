@@ -39,12 +39,10 @@ def _build_parser() -> _Parser:
     ev = sub.add_parser("eval", help="evaluate an operator chain on a function")
     ev.add_argument("--op", required=True, help='operator chain, e.g. "D^(0.5).J^(1+1i)"')
     ev.add_argument("--fn", required=True, help='function expression, e.g. "(2+0i)*x^(0.5)"')
-    ev.add_argument("--x0", default="0", help='lower limit (float or "-inf"), default 0')
+    ev.add_argument("--x0", type=float, default=0.0, help="lower limit, e.g. -inf (default 0)")
     ev.add_argument("--at", type=float, action="append", help="evaluation point (repeatable)")
     ev.add_argument("--grid", help="a:b:n, n points from a to b inclusive")
-    ev.add_argument(
-        "--method", choices=["closed", "numeric", "both"], default="both"
-    )
+    ev.add_argument("--method", choices=[m.value for m in Method], default="both")
     ev.add_argument("--rel-tol", type=float, dest="rel_tol", help="quadrature tolerance")
     ev.add_argument("--format", choices=["csv", "json"], default="csv")
     ev.add_argument("--out", help="output file (default: stdout)")
@@ -55,15 +53,6 @@ def _build_parser() -> _Parser:
     st.add_argument("--seed", type=int, default=0, help="seed for the sampled checks")
     st.add_argument("--out", help="output file (default: stdout)")
     return parser
-
-
-def _parse_x0(text: str) -> float:
-    if text.strip().lower() in ("-inf", "-infinity"):
-        return -math.inf
-    try:
-        return float(text)
-    except ValueError:
-        raise _UsageError(f"--x0 must be a float or '-inf', got {text!r}") from None
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -104,8 +93,6 @@ def _rows(results: list[EvalResult], with_reference: bool) -> list[dict]:
 
 
 def _render_csv(rows: list[dict]) -> str:
-    if not rows:
-        return "x,re,im\n"
     header = list(rows[0].keys())
     lines = [",".join(header)]
     for row in rows:
@@ -125,8 +112,11 @@ def _render_json(rows: list[dict]) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"--out: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -138,7 +128,6 @@ def _run_eval(args) -> int:
         cfg = QuadConfig() if args.rel_tol is None else QuadConfig(rel_tol=args.rel_tol)
     except ValueError as exc:
         raise _UsageError(f"--rel-tol: {exc}") from None
-    x0 = _parse_x0(args.x0)
     xs = args.at if args.at is not None else _parse_grid(args.grid)
     # A grid with finite ends can still overflow (b - a), and JSON has no NaN.
     bad = next((x for x in xs if not math.isfinite(x)), None)
@@ -146,8 +135,8 @@ def _run_eval(args) -> int:
         raise _UsageError(f"evaluation points must be finite, got {bad!r}")
 
     try:
-        fn = parse_function(args.fn, lower_limit=x0)
-        op = parse_operator(args.op, lower_limit=x0)
+        fn = parse_function(args.fn, lower_limit=args.x0)
+        op = parse_operator(args.op, lower_limit=args.x0)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

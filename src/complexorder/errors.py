@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ComplexOrderError",
+    "ConvergenceError",
+    "DomainError",
+    "MismatchError",
+    "ParseError",
+    "PoleError",
+    "UnsupportedError",
+]
+
 
 class ComplexOrderError(Exception):
     """Base class for every error raised by this package."""

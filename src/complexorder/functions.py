@@ -23,7 +23,6 @@ from .errors import DomainError, ParseError
 from .special import complex_pow
 
 __all__ = [
-    "EXPONENT_MERGE_TOL",
     "CausalFunction",
     "OpaqueFunction",
     "PowerTerm",

@@ -76,8 +76,6 @@ from .special import complex_pow, gamma
 
 __all__ = [
     "QuadConfig",
-    "central_derivative",
-    "chebyshev_power_moments",
     "differentiate_numeric",
     "integrate_exp_lower_inf",
     "integrate_numeric",

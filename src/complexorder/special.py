@@ -29,7 +29,6 @@ import math
 from .errors import DomainError, PoleError
 
 __all__ = [
-    "POLE_TOLERANCE",
     "beta",
     "complex_pow",
     "gamma",
@@ -163,14 +162,16 @@ def beta(s1: complex, s2: complex) -> complex:
 def complex_pow(x: float, s: complex) -> complex:
     """x**s for real x >= 0 and complex s.
 
-    Uses x^s = x^Re(s) (cos(Im(s) ln x) + i sin(Im(s) ln x)) for x > 0.
-    x = 0 yields 0 when Re(s) > 0; other non-positive bases are rejected
-    (complex exponents have no single-valued continuation there).
+    For finite x > 0 this is Python's complex power x ** s, i.e.
+    x^Re(s) (cos(Im(s) ln x) + i sin(Im(s) ln x)); a real s gives an
+    imaginary part of exactly 0.0.  x = 0 yields 0 when Re(s) > 0; other
+    non-positive bases are rejected (complex exponents have no
+    single-valued continuation there), and so are infinite and NaN bases.
     """
     x = float(x)
     s = complex(s)
-    if math.isnan(x):
-        raise DomainError("complex_pow: x must not be NaN")
+    if not math.isfinite(x):
+        raise DomainError(f"complex_pow: base must be finite, got {x!r}")
     if x < 0.0:
         raise DomainError(f"complex_pow: base must be non-negative, got {x!r}")
     if x == 0.0:
@@ -179,7 +180,4 @@ def complex_pow(x: float, s: complex) -> complex:
         raise DomainError("complex_pow: 0**s undefined for Re(s) <= 0")
     if s.imag == 0.0:
         return complex(x ** s.real, 0.0)
-    lx = math.log(x)
-    mag = x ** s.real
-    t = s.imag * lx
-    return complex(mag * math.cos(t), mag * math.sin(t))
+    return x ** s

@@ -211,6 +211,22 @@ def test_option_values_may_start_with_a_dash(capture, argv, rows):
         assert im == 0.0
 
 
+@pytest.mark.parametrize("x0", [["--x0", "-inf"], ["--x0", "-Infinity"], ["--x0=-INF"]])
+def test_x0_takes_any_float_literal(capture, x0):
+    code, out, err = capture(
+        ["eval", "--op", "J^(1)", "--fn", "exp(x)", *x0, "--at", "0", "--method", "closed"]
+    )
+    assert code == 0, err
+    assert out.splitlines()[1] == "0.0,1.0,0.0"
+
+
+def test_x0_must_be_a_number(capture):
+    code, out, err = capture(["eval", "--op", "J^(1)", "--fn", "x", "--x0", "zero", "--at", "1"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: argument --x0")
+
+
 def test_exit_code_domain_error(capture):
     # exp(x) with a finite lower limit is rejected as a domain violation
     code, _, err = capture(["eval", "--op", "J^(1)", "--fn", "exp(x)", "--at", "2"])
@@ -297,6 +313,24 @@ def test_out_file(tmp_path, capture):
     assert code == 0
     assert out == ""
     assert path.read_text().startswith("x,re,im\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--op", "J^(1)", "--fn", "x", "--at", "1"],
+        ["selftest", "--filter", "gamma"],
+    ],
+    ids=["eval", "selftest"],
+)
+def test_unwritable_out_file_is_a_usage_error(tmp_path, capture, argv):
+    path = tmp_path / "missing" / "rows.csv"
+    code, out, err = capture([*argv, "--out", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: --out: ")
+    assert "Traceback" not in err
+    assert not path.exists()
 
 
 def test_selftest_filter_and_exit(capture):

@@ -121,6 +121,16 @@ def test_overflow_at_a_point_is_a_domain_error(method):
     assert r.value is None and r.reference is None
 
 
+@pytest.mark.parametrize("method", list(Method))
+def test_infinite_point_is_a_domain_error(method):
+    # (x - x0)^s has no value at x = inf; the finite point keeps its value.
+    expr = parse_operator("J^(0.5)")
+    f = parse_function("x^(1+1i)")
+    results = apply(expr, f, [1.0, math.inf], method)
+    assert [r.status for r in results] == [EvalStatus.OK, EvalStatus.DOMAIN_ERROR]
+    assert results[0].value is not None and results[1].value is None
+
+
 @pytest.mark.parametrize("method", [Method.NUMERIC, Method.BOTH])
 def test_underflowing_power_cofactor_is_a_domain_error(method):
     # u^80 underflows to 0 at the smallest quadrature node, where the

@@ -233,3 +233,37 @@ def test_complex_pow_matches_cmath(x, a, b):
     s = complex(a, b)
     expected = cmath.exp(s * math.log(x))
     assert rel(complex_pow(x, s), expected) <= 1e-12
+
+
+def _polar_pow(x, s):
+    # x^Re(s) (cos t + i sin t) with t = Im(s) ln x: the reference for complex_pow.
+    t = s.imag * math.log(x)
+    mag = x**s.real
+    return complex(mag * math.cos(t), mag * math.sin(t))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    x=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    a=st.floats(min_value=-1e300, max_value=1e300),
+    b=st.floats(min_value=-1e300, max_value=1e300).filter(lambda b: b != 0.0),
+)
+def test_complex_pow_equals_the_polar_formula(x, a, b):
+    # |Im(s) ln x| <= 1e300 * 745 keeps the phase finite.  Equal, not
+    # identical: at a zero phase (x = 1, Im s < 0 <= Re s) x ** s has a
+    # +0.0 imaginary part where the formula has -0.0.
+    s = complex(a, b)
+    try:
+        expected = _polar_pow(x, s)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            complex_pow(x, s)
+        return
+    assert complex_pow(x, s) == expected
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_complex_pow_rejects_a_non_finite_base(x):
+    for s in (0.5 + 0j, 1 + 1j):
+        with pytest.raises(DomainError):
+            complex_pow(x, s)
