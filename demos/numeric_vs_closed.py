@@ -10,9 +10,13 @@ Run:  python3 demos/numeric_vs_closed.py
 import math
 
 from complexorder import (
+    Method,
+    OpaqueFunction,
     QuadConfig,
+    apply,
     complex_pow,
     integrate_numeric,
+    parse_operator,
     power_image,
 )
 
@@ -41,6 +45,25 @@ print(f"  rel err = {abs(numeric-exact)/abs(exact):.2e}")
 print("\nopaque integrand y*cos(y), order 0.8 (no structure declared)")
 value = integrate_numeric(lambda y: complex(y * math.cos(y), 0.0), 0.8, 2.0, 0.0)
 print("  J^0.8(y cos y)(2) =", value)
+
+# A derivative of an opaque integrand: its Legendre expansion on [0, x],
+# each term mapped exactly by a Gamma ratio, with no finite differences.
+# Reference: f(0) = 0 and f'(0) = 1, so D^1.5 f = J^0.5 f'' + x^-0.5/Gamma(0.5),
+# with f'' = -2 sin y - y cos y.
+print("\nopaque integrand y*cos(y), order D^1.5")
+samples = []
+
+
+def ycos(y):
+    samples.append(y)
+    return y * math.cos(y) if y > 0 else 0.0
+
+
+(row,) = apply(parse_operator("D^(1.5)"), OpaqueFunction(ycos), [2.0], Method.NUMERIC)
+second = integrate_numeric(lambda y: -2.0 * math.sin(y) - y * math.cos(y), 0.5, 2.0, 0.0)
+exact = second + 2.0**-0.5 / math.gamma(0.5)
+print(f"  D^1.5(y cos y)(2) = {row.value.real:.12f}  rel err={abs(row.value - exact) / abs(exact):.2e}"
+      f"  integrand calls={len(samples)}")
 
 # Convergence control: degree doubles until two estimates agree to rel_tol.
 print("\ntighter tolerances on J^(0.9)(y^2.5)(1):")

@@ -48,10 +48,11 @@ class ConvergenceError(ComplexOrderError):
     """The quadrature tolerance was not met within the degree budget.
 
     ``best_estimate`` holds the estimate whose successive agreement was
-    best, ``achieved_rel_err`` the agreement it reached.
+    best (None when no size resolved the integrand, so that nothing could
+    be compared), ``achieved_rel_err`` the agreement it reached.
     """
 
-    def __init__(self, message: str, best_estimate: complex, achieved_rel_err: float):
+    def __init__(self, message: str, best_estimate: complex | None, achieved_rel_err: float):
         self.best_estimate = best_estimate
         self.achieved_rel_err = achieved_rel_err
         super().__init__(message)

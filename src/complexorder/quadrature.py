@@ -55,24 +55,36 @@ The degree walks the fixed ladder 32, 64, 128, 256 until two successive
 estimates agree to ``cfg.rel_tol``, so every returned value rests on an
 agreeing pair; if none agrees by degree 256, ConvergenceError carries the
 best estimate seen, normalized like a returned value.  Derivatives of
-power sums and opaque integrands use k-fold central differences of the
-inner integral with Richardson extrapolation; e^x from -inf needs none,
-because the integral commutes with translation there (see
-``integrate_exp_lower_inf``).
+power sums use k-fold central differences of the inner integral with
+Richardson extrapolation; e^x from -inf needs none, because the integral
+commutes with translation there (see ``integrate_exp_lower_inf``).
+
+A derivative of an opaque integrand needs no inner integral either
+(``legendre_derivative``).  The integrand is expanded on [x0, x] in
+Legendre polynomials from its values at Gauss-Legendre nodes (found by
+Newton's method and cached per size with the matrix that maps samples to
+coefficients), and the paper's Gamma-ratio rule maps the expansion term by
+term: at the endpoint, Bateman's fractional integral of Jacobi polynomials
+gives D^s P_m = (x-x0)^(-s) Gamma(m+1+s) / (Gamma(1+s) Gamma(m+1-s)).
+The coefficients are chopped at their rounding plateau (Aurentz and
+Trefethen's standardChop), and the sizes 24, 32, 48, 64, 96, 128 are
+walked until two successive chopped expansions agree to ``cfg.rel_tol``.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
 from collections import namedtuple
+from itertools import accumulate
 from math import fsum
 from operator import mul
 from typing import Callable, Sequence
 
 from .errors import ConvergenceError, DomainError
-from .special import complex_pow, gamma
+from .special import complex_pow, gamma, gamma_ratio, log_gamma
 
 __all__ = [
     "QuadConfig",
@@ -89,7 +101,8 @@ _DEGREES = (32, 64, 128, 256)
 
 class QuadConfig(namedtuple("QuadConfig", "rel_tol")):
     """Quadrature tolerance: rel_tol (finite, > 0) is the relative agreement
-    that two successive estimates on the degree ladder 32, 64, 128, 256 must
+    that two successive estimates on the degree ladder 32, 64, 128, 256 (the
+    Legendre sizes 24 to 128 for a derivative of an opaque integrand) must
     reach."""
 
     __slots__ = ()
@@ -205,6 +218,9 @@ def _power_panel(
 
 _SPLIT = 0.5
 _EPS = sys.float_info.epsilon
+# Legendre expansion sizes of a derivative of an opaque integrand, walked
+# until two successive chopped expansions agree.
+_LEGENDRE_SIZES = (24, 32, 48, 64, 96, 128)
 # Finite differences: base step relative to max(1, |x|), and the number of
 # step sizes h, h/2, h/4, ... that Richardson extrapolation combines.
 _FD_STEP_SCALE = 0.01
@@ -231,25 +247,133 @@ def _integral01(
     return left + right
 
 
-def _converge(estimate: Callable[[int], complex], cfg: QuadConfig) -> complex:
-    """Walk the degree ladder until successive estimates agree to cfg.rel_tol."""
-    prev = estimate(_DEGREES[0])
-    best = prev
+def _legendre_pair(n: int, t: float) -> tuple[float, float]:
+    """P_n(t) and P_n'(t) for n >= 1, |t| < 1, by the three-term recurrence."""
+    prev, cur = 1.0, t
+    for k in range(2, n + 1):
+        prev, cur = cur, ((2 * k - 1) * t * cur - (k - 1) * prev) / k
+    return cur, n * (t * cur - prev) / (t * t - 1.0)
+
+
+@functools.lru_cache(maxsize=8)
+def _legendre_rule(n: int) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+    """Gauss-Legendre nodes t_j on (-1, 1) and the analysis matrix
+    A[m][j] = (2m+1)/2 w_j P_m(t_j), m, j < n: sum_j A[m][j] g(t_j) is the
+    m-th Legendre coefficient of g, exactly so for a polynomial of degree < n.
+
+    Each node is a root of P_n, found by Newton's method from
+    cos(pi (j + 3/4) / (n + 1/2)); w_j = 2 / ((1 - t_j^2) P_n'(t_j)^2).
+    """
+    nodes, weights = [], []
+    for j in range(n):
+        t = math.cos(math.pi * (j + 0.75) / (n + 0.5))
+        for _ in range(100):
+            p, dp = _legendre_pair(n, t)
+            step = p / dp
+            t -= step
+            if abs(step) <= _EPS:
+                break
+        _, dp = _legendre_pair(n, t)
+        nodes.append(t)
+        weights.append(2.0 / ((1.0 - t * t) * dp * dp))
+    rows = [[0.5 * w for w in weights], [1.5 * w * t for w, t in zip(weights, nodes)]]
+    prev, cur = [1.0] * n, list(nodes)
+    for m in range(1, n - 1):
+        prev, cur = cur, [
+            ((2 * m + 1) * t * c - m * p) / (m + 1) for t, c, p in zip(nodes, cur, prev)
+        ]
+        rows.append([(m + 1.5) * w * c for w, c in zip(weights, cur)])
+    return tuple(nodes), tuple(map(tuple, rows))
+
+
+def _plateau_cutoff(coeffs: Sequence[complex]) -> int | None:
+    """How many leading coefficients to keep, or None when their magnitudes
+    reach no plateau: Aurentz & Trefethen's standardChop (ACM TOMS 43,
+    2017) at tolerance eps = machine epsilon, the relative rounding of the
+    samples.
+
+    The envelope e_j is the running maximum of |c_m| from the right,
+    normalized to e_1 = 1.  A plateau starts at the first index j after
+    which e falls by less than a factor 1/r, r = 3 (1 - log e_j / log eps),
+    over the next quarter of the coefficients plus five; as r < 1 only
+    below eps^(2/3), no plateau starts above that.  The cut is then where
+    log e, plus a line rising a third of -log eps over the plateau's range,
+    is least.  A cut is always strictly inside the expansion, and what it
+    drops is rounding noise.
+    """
+    n = len(coeffs)
+    envelope = list(accumulate(map(abs, reversed(coeffs)), max))[::-1]
+    if envelope[0] == 0.0:
+        return 1
+    envelope = [e / envelope[0] for e in envelope]
+    log_tol = math.log(_EPS)
+    # Indices below are 1-based, as in the published algorithm.
+    for j in range(2, n + 1):
+        j2 = math.floor(1.25 * j + 5.5)
+        if j2 > n:
+            return None
+        e1, e2 = envelope[j - 1], envelope[j2 - 1]
+        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / log_tol):
+            plateau = j - 1
+            break
+    if envelope[plateau - 1] == 0.0:
+        return plateau
+    floor = _EPS ** (7.0 / 6.0)
+    j3 = sum(e >= floor for e in envelope)
+    if j3 < j2:
+        j2 = j3 + 1
+        envelope[j2 - 1] = floor
+    bias = -math.log10(_EPS) / 3.0 / (j2 - 1)
+    biased = [math.log10(envelope[i]) + i * bias for i in range(j2)]
+    return max(biased.index(min(biased)), 1)
+
+
+# An order fills one entry per size it reaches, six at most, so 64 entries
+# keep about ten orders.
+@functools.lru_cache(maxsize=64)
+def _derivative_ratios(s: complex, n: int) -> tuple[complex, ...]:
+    """Gamma(m+1+s) / (Gamma(1+s) Gamma(m+1-s)) for m < n, a Legendre size;
+    a pole of Gamma(m+1-s) (an integer s > m) gives 0.  Each size extends
+    the tuple of the size below it, so every ratio is computed once."""
+    i = _LEGENDRE_SIZES.index(n)
+    head = _derivative_ratios(s, _LEGENDRE_SIZES[i - 1]) if i else ()
+    # In log space: 1/Gamma(1+s) overflows (OverflowError) once |Im s|
+    # passes about 450, where Gamma(1+s) itself would underflow to 0.
+    inverse = cmath.exp(-log_gamma(1.0 + s))
+    return head + tuple(
+        gamma_ratio(m + 1.0 + s, m + 1.0 - s) * inverse for m in range(len(head), n)
+    )
+
+
+def _converge(
+    estimate: Callable[[int], complex | None],
+    cfg: QuadConfig,
+    sizes: Sequence[int] = _DEGREES,
+) -> complex:
+    """Walk ``sizes`` until two successive estimates agree to cfg.rel_tol.
+
+    An estimate of None (a size that does not resolve the integrand) agrees
+    with nothing.
+    """
+    prev = best = None
     best_err = math.inf
-    for n in _DEGREES[1:]:
+    for n in sizes:
         cur = estimate(n)
-        denom = max(abs(cur), abs(prev))
-        # Estimates that agree to the last bit still leave a rounding unit
-        # unverified, so a rel_tol below machine epsilon is never met.
-        diff = max(abs(cur - prev), _EPS * denom)
-        if diff <= cfg.rel_tol * denom:
-            return cur
-        err = diff / denom
-        if err < best_err:
-            best_err, best = err, cur
+        if best is None:
+            best = cur
+        if cur is not None and prev is not None:
+            denom = max(abs(cur), abs(prev))
+            # Estimates that agree to the last bit still leave a rounding unit
+            # unverified, so a rel_tol below machine epsilon is never met.
+            diff = max(abs(cur - prev), _EPS * denom)
+            if diff <= cfg.rel_tol * denom:
+                return cur
+            err = diff / denom
+            if err < best_err:
+                best_err, best = err, cur
         prev = cur
     raise ConvergenceError(
-        f"quadrature did not reach rel_tol={cfg.rel_tol:g} by degree {_DEGREES[-1]} "
+        f"quadrature did not reach rel_tol={cfg.rel_tol:g} by degree {sizes[-1]} "
         f"(best successive agreement {best_err:.3e})",
         best_estimate=best,
         achieved_rel_err=best_err,
@@ -392,6 +516,68 @@ def differentiate_numeric(
             raise
 
     return central_derivative(inner, x, k, lower_limit=x0)
+
+
+def legendre_derivative(
+    f: Callable[[float], complex],
+    s: complex,
+    x: float,
+    x0: float,
+    cfg: QuadConfig | None = None,
+) -> complex:
+    """Derivative of order ``s`` (Re(s) >= 0) of a smooth ``f`` from ``x0``, at ``x``.
+
+    ``f`` is expanded on [x0, x] in Legendre polynomials P_m(t),
+    t = 2 (y - x0) / (x - x0) - 1, from its values at n Gauss-Legendre
+    nodes.  By Bateman's fractional integral of Jacobi polynomials, D^s
+    maps P_m to (x - x0)^(-s) m! / Gamma(m+1-s) times the Jacobi polynomial
+    P_m^(s,-s) at the endpoint t = 1, which is Gamma(m+1+s) / (m! Gamma(1+s)):
+
+        D^s f(x) = (x - x0)^(-s) / Gamma(1+s) * sum_m c_m Gamma(m+1+s) / Gamma(m+1-s).
+
+    This is exact for a polynomial of degree < n at every complex s, and
+    exactly 0 at an integer s on a polynomial of degree < s, where
+    1/Gamma(m+1-s) vanishes.  The coefficients are chopped at their
+    rounding plateau (``_plateau_cutoff``); a size whose coefficients reach
+    none resolves nothing.  The sizes 24, 32, 48, 64, 96, 128 are walked
+    until two successive resolved sizes agree to ``cfg.rel_tol``; otherwise
+    ConvergenceError carries the best estimate (None when no size
+    resolved).  A sample that is not finite raises DomainError.
+    """
+    s = complex(s)
+    if cfg is None:
+        cfg = QuadConfig()
+    if s.real < 0:
+        raise DomainError(f"legendre_derivative needs Re(s) >= 0, got {s!r}")
+    if not (math.isfinite(x) and math.isfinite(x0)):
+        raise DomainError("legendre_derivative needs finite x and x0")
+    if not x > x0:
+        raise DomainError(f"legendre_derivative needs x > x0, got x={x!r}, x0={x0!r}")
+    half = 0.5 * (x - x0)
+
+    def estimate(n: int) -> complex | None:
+        nodes, analysis = _legendre_rule(n)
+        values = [complex(f(x0 + (1.0 + t) * half)) for t in nodes]
+        if not all(map(cmath.isfinite, values)):
+            raise DomainError(f"the integrand is not finite on [{x0!r}, {x!r}]")
+        re = [v.real for v in values]
+        im = [v.imag for v in values]
+        # Each coefficient is a real row dotted with the samples, summed
+        # exactly; a real integrand has real coefficients.
+        coeffs = [fsum(map(mul, row, re)) for row in analysis]
+        if any(im):
+            coeffs = [complex(c, fsum(map(mul, row, im))) for c, row in zip(coeffs, analysis)]
+        cut = _plateau_cutoff(coeffs)
+        return None if cut is None else _dot(_derivative_ratios(s, n)[:cut], coeffs[:cut])
+
+    factor = complex_pow(x - x0, -s)
+    try:
+        total = _converge(estimate, cfg, _LEGENDRE_SIZES)
+    except ConvergenceError as exc:
+        if exc.best_estimate is not None:
+            exc.best_estimate = factor * exc.best_estimate
+        raise
+    return factor * total
 
 
 def integrate_exp_lower_inf(s: complex, x: float, cfg: QuadConfig | None = None) -> complex:

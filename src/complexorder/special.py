@@ -167,6 +167,7 @@ def complex_pow(x: float, s: complex) -> complex:
     imaginary part of exactly 0.0.  x = 0 yields 0 when Re(s) > 0; other
     non-positive bases are rejected (complex exponents have no
     single-valued continuation there), and so are infinite and NaN bases.
+    A phase Im(s) ln x that overflows is a DomainError as well.
     """
     x = float(x)
     s = complex(s)
@@ -180,4 +181,8 @@ def complex_pow(x: float, s: complex) -> complex:
         raise DomainError("complex_pow: 0**s undefined for Re(s) <= 0")
     if s.imag == 0.0:
         return complex(x ** s.real, 0.0)
-    return x ** s
+    try:
+        return x ** s
+    except ZeroDivisionError:
+        # CPython's complex power reports the cosine of an infinite phase so.
+        raise DomainError(f"complex_pow: the phase of {x!r} ** {s!r} is not finite") from None

@@ -39,6 +39,12 @@ DERIVATIVES = (
     ("D^(1.5)", -1.5),
     ("D^(2.5+1i)", -2.5 - 1j),
 )
+# Opaque derivatives also at the edges of the benchmark's orders
+# (Re in [0, 3), Im in [-2, 2]).
+OPAQUE_DERIVATIVES = DERIVATIVES + (
+    ("D^(2.9-1.5i)", -2.9 + 1.5j),
+    ("D^(0.05+1.9i)", -0.05 - 1.9j),
+)
 
 # (integrand as the tests build it, its terms (coefficient, exponent))
 POWER_SUMS = (
@@ -93,7 +99,7 @@ def main() -> None:
         ]
         cases["opaque", name] = [
             (op, (form, omega), 0.0, [opaque_image(form, omega, sigma, x) for x in POINTS])
-            for op, sigma in ops
+            for op, sigma in (OPAQUE_DERIVATIVES if name == "D" else ops)
             for form, omega in OPAQUE
         ]
         cases["exp", name] = [

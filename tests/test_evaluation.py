@@ -19,7 +19,7 @@ from complexorder import (
     parse_operator,
 )
 from complexorder import quadrature
-from complexorder.quadrature import _weights
+from complexorder.quadrature import _derivative_ratios, _legendre_rule, _weights
 
 
 def rel(a, b):
@@ -324,6 +324,53 @@ def test_numeric_rows_are_both_rows_without_reference():
     assert both[0].status is EvalStatus.DOMAIN_ERROR
 
 
+def _opaque_cubic():
+    return OpaqueFunction(fn=lambda y: y**3 + 2.0 * y if y > 0 else 0.0)
+
+
+@pytest.mark.parametrize("op", ["D^(0.5+0.5i)", "D^(1.5)", "D^(2.9-1.5i)", "D^(0.05+1.9i)"])
+def test_opaque_polynomial_derivative_is_its_closed_form(op):
+    # The Legendre expansion of a cubic is exact, and so is the Gamma ratio
+    # that maps each term: the opaque y^3 + 2y gets the power sum's image.
+    expr = parse_operator(op)
+    xs = [0.05, 1.0, 3.0]
+    closed = apply(expr, parse_function("x^3 + 2*x"), xs, Method.CLOSED)
+    for c, r in zip(closed, apply(expr, _opaque_cubic(), xs, Method.NUMERIC)):
+        assert r.status is EvalStatus.OK
+        assert rel(r.value, c.value) <= 1e-12
+
+
+def test_integer_order_annihilates_an_opaque_polynomial():
+    # 1/Gamma(m+1-4) vanishes for m < 4, and the cubic's higher Legendre
+    # coefficients are rounding noise that the chop drops.
+    xs = [0.01, 0.5, 2.5, 10.0]
+    results = apply(parse_operator("D^(4)"), _opaque_cubic(), xs, Method.NUMERIC)
+    assert [(r.status, r.value) for r in results] == [(EvalStatus.OK, 0j)] * 4
+
+
+def test_opaque_derivative_of_too_high_order_is_not_ok():
+    # D^6.3 weighs the m-th Legendre coefficient by about m^12.6, so their
+    # rounding outweighs the value and successive sizes disagree.
+    f = OpaqueFunction(fn=lambda y: y * math.cos(2.0 * y) if y > 0 else 0.0)
+    results = apply(parse_operator("D^(6.3)"), f, [1.0, 5.0], Method.NUMERIC)
+    assert [r.status for r in results] == [EvalStatus.CONVERGENCE_ERROR] * 2
+
+
+@pytest.mark.parametrize(
+    "op, fn",
+    [
+        ("D^(0.5)", lambda y: math.inf if y > 0.5 else y),
+        ("D^(0.5+1000i)", lambda y: y * math.cos(2.0 * y) if y > 0 else 0.0),
+    ],
+    ids=["infinite-integrand", "overflowing-reciprocal-gamma"],
+)
+def test_opaque_derivative_failures_stay_in_their_rows(op, fn):
+    # An integrand that is not finite, and a 1/Gamma(1+s) that overflows
+    # (Gamma(1.5+1000i) underflows), are domain errors of the point.
+    results = apply(parse_operator(op), OpaqueFunction(fn=fn), [1.0, 2.0], Method.NUMERIC)
+    assert [r.status for r in results] == [EvalStatus.DOMAIN_ERROR] * 2
+
+
 @pytest.mark.parametrize(
     "op, f, method",
     [
@@ -354,8 +401,9 @@ def test_result_order_matches_xs_order():
 
 
 def test_concurrent_grids_match_serial_run():
-    # Threads share the quadrature weight cache, starting empty so that they
-    # race on its misses; every result must equal the serial run's exactly.
+    # Threads share the quadrature caches (product-integration weights,
+    # Legendre rules, derivative ratios), starting empty so that they race
+    # on their misses; every result must equal the serial run's exactly.
     grids = [
         (parse_operator("J^(0.7+0.4i)"), parse_function("2*x^(0.5) + x^(1+1i)"), Method.BOTH),
         (
@@ -376,9 +424,12 @@ def test_concurrent_grids_match_serial_run():
         return [(r.status, r.value) for r in apply(expr, f, xs, method)]
 
     jobs = range(8 * len(grids))
-    _weights.cache_clear()
+    caches = (_weights, _legendre_rule, _derivative_ratios)
+    for cache in caches:
+        cache.cache_clear()
     serial = [run(job) for job in jobs]
-    _weights.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

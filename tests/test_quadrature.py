@@ -27,6 +27,7 @@ from complexorder import (
 from complexorder import quadrature
 from complexorder.quadrature import (
     _integral01,
+    _plateau_cutoff,
     _weights,
     central_derivative,
     cheb_nodes01,
@@ -187,21 +188,7 @@ YCOS3 = (
 )
 
 
-@pytest.mark.parametrize(
-    "s, x",
-    [(s, x) for s in (0.3, 0.8, 1.5, 2.5) for x in (0.5, 1.3, 2.0) if (s, x) != (2.5, 1.3)]
-    + [
-        pytest.param(
-            2.5,
-            1.3,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="status ok at rel err 1.6e-9: the k = 3 finite differences "
-                "have no error estimate",
-            ),
-        )
-    ],
-)
+@pytest.mark.parametrize("s, x", [(s, x) for s in (0.3, 0.8, 1.5, 2.5) for x in (0.5, 1.3, 2.0)])
 def test_opaque_derivative_matches_qaws(s, x):
     # An outside reference for derivatives: QAWS of the k-th derivative.
     k = math.floor(s) + 1
@@ -209,6 +196,15 @@ def test_opaque_derivative_matches_qaws(s, x):
     (r,) = apply(parse_operator(f"D^({s})"), f, [x], Method.NUMERIC)
     if r.status is EvalStatus.OK:
         assert rel(r.value, qaws(YCOS3[k], k - s, x)) <= 1e-9
+
+
+def test_plateau_cutoff_drops_only_rounding_noise():
+    # Geometric decay to 2^-39, then noise at 1e-17: all 40 signal terms stay.
+    noise = [1e-17 * (-1) ** m for m in range(24)]
+    assert _plateau_cutoff([2.0**-m for m in range(40)] + noise) == 40
+    # Algebraic decay reaches no plateau, so the expansion resolves nothing.
+    assert _plateau_cutoff([1.0 / (m + 1) ** 2 for m in range(64)]) is None
+    assert _plateau_cutoff([0.0] * 24) == 1
 
 
 def test_integrate_linearity_at_fixed_degree():

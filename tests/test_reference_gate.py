@@ -21,12 +21,12 @@ from complexorder import (
 
 from oracles import GATE_POINTS, OPERATOR_REFERENCES
 
-# Finite differences of the inner integral leave ok rows outside rel_tol,
-# mostly at the smallest points: 64 of 177 power rows (worst 5.9e-4) and
-# 36 of 118 opaque rows (worst 2.1e-4), e.g. D^(0.5+0.5i) x^1.5 4 of 16,
-# D^1.5 x^(0.3+0.4i) 6 of 15 (worst 1.9e-4) and D^1.5 y cos 2y 5 of 15.
+# Derivatives of power sums take finite differences of the inner integral,
+# which leave ok rows outside rel_tol, mostly at the smallest points: 64 of
+# 177 power rows (worst 5.9e-4), e.g. D^(0.5+0.5i) x^1.5 4 of 16 and
+# D^1.5 x^(0.3+0.4i) 6 of 15 (worst 1.9e-4).
 _FINITE_DIFFERENCES = pytest.mark.xfail(
-    strict=True, reason="finite-difference derivatives report ok outside rel_tol"
+    strict=True, reason="finite-difference derivatives of power sums report ok outside rel_tol"
 )
 
 
@@ -44,7 +44,7 @@ def _integrand(integrand, x0):
         ("power", "J"),
         pytest.param("power", "D", marks=_FINITE_DIFFERENCES),
         ("opaque", "J"),
-        pytest.param("opaque", "D", marks=_FINITE_DIFFERENCES),
+        ("opaque", "D"),
         ("exp", "J"),
         ("exp", "D"),
     ],

@@ -262,6 +262,14 @@ def test_complex_pow_equals_the_polar_formula(x, a, b):
     assert complex_pow(x, s) == expected
 
 
+def test_complex_pow_rejects_an_overflowing_phase():
+    # Im(s) ln x = 1e307 * 690.8 overflows; CPython's x ** s raises
+    # ZeroDivisionError there.
+    for x, s in ((1e300, 1e307j), (1e-300, 0.5 - 1e307j)):
+        with pytest.raises(DomainError, match="phase"):
+            complex_pow(x, s)
+
+
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
 def test_complex_pow_rejects_a_non_finite_base(x):
     for s in (0.5 + 0j, 1 + 1j):
