@@ -46,8 +46,9 @@ print("\nopaque integrand y*cos(y), order 0.8 (no structure declared)")
 value = integrate_numeric(lambda y: complex(y * math.cos(y), 0.0), 0.8, 2.0, 0.0)
 print("  J^0.8(y cos y)(2) =", value)
 
-# A derivative of an opaque integrand: its Legendre expansion on [0, x],
-# each term mapped exactly by a Gamma ratio, with no finite differences.
+# A derivative of an opaque integrand: its Chebyshev expansion on [0, x],
+# each term mapped exactly by its moment image continued to order -1.5,
+# with no finite differences.
 # Reference: f(0) = 0 and f'(0) = 1, so D^1.5 f = J^0.5 f'' + x^-0.5/Gamma(0.5),
 # with f'' = -2 sin y - y cos y.
 print("\nopaque integrand y*cos(y), order D^1.5")

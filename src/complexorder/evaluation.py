@@ -88,16 +88,16 @@ def _numeric_evaluator(sigma: complex, f, cfg: _quad.QuadConfig):
     """``x -> value`` of J^sigma f from the numeric backend.  The route depends
     on the request, not on the point, so it is chosen here, once per ``apply``
     call: sigma = 0 is the identity, Re(sigma) > 0 an integral, and any other
-    sigma a derivative of order -sigma, taken from a Legendre expansion for
-    an opaque integrand and as D^k J^(k+sigma) otherwise."""
+    sigma a derivative of order -sigma, taken from a Chebyshev expansion
+    for an opaque integrand and as D^k J^(k+sigma) otherwise."""
     if sigma == 0:
         return lambda x: complex(f(x))
     k = 0 if sigma.real > 0 else choose_k(-sigma)
     x0 = f.lower_limit
     if k and isinstance(f, OpaqueFunction):
-        # A derivative of an opaque integrand: its Legendre expansion on
-        # [x0, x], mapped term by term by a Gamma ratio, point by point.
-        return lambda x: _quad.legendre_derivative(f, -sigma, x, x0, cfg)
+        # A derivative of an opaque integrand: its Chebyshev expansion on
+        # [x0, x], each term mapped by its continued moment, point by point.
+        return lambda x: _quad.chebyshev_derivative(f, -sigma, x, x0, cfg)
     if isinstance(f, CausalFunction):
         if not math.isfinite(x0):
             # Pure exponential with lower limit -inf: the integral of order

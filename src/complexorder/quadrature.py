@@ -60,13 +60,13 @@ Richardson extrapolation; e^x from -inf needs none, because the integral
 commutes with translation there (see ``integrate_exp_lower_inf``).
 
 A derivative of an opaque integrand needs no inner integral either
-(``legendre_derivative``).  The integrand is expanded on [x0, x] in
-Legendre polynomials from its values at Gauss-Legendre nodes (found by
-Newton's method and cached per size with the matrix that maps samples to
-coefficients), and the paper's Gamma-ratio rule maps the expansion term by
-term: at the endpoint, Bateman's fractional integral of Jacobi polynomials
-gives D^s P_m = (x-x0)^(-s) Gamma(m+1+s) / (Gamma(1+s) Gamma(m+1-s)).
-The coefficients are chopped at their rounding plateau (Aurentz and
+(``chebyshev_derivative``).  The same Chebyshev basis serves it: the
+integrand is sampled at the same nodes on [x0, x], its coefficients are
+read off the cos(m pi / 2n) table, and the moments give each term's image
+at every order, because J^sigma T_j(2u-1) at u = 1 is
+(-1)^j q_j(sigma) / Gamma(sigma), which is entire in sigma; at
+sigma = -s it is D^s T_j(2u-1), the paper's J^sigma = D^(-sigma).  The
+coefficients are chopped at their rounding plateau (Aurentz and
 Trefethen's standardChop), and the sizes 24, 32, 48, 64, 96, 128 are
 walked until two successive chopped expansions agree to ``cfg.rel_tol``.
 """
@@ -84,7 +84,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .errors import ConvergenceError, DomainError
-from .special import complex_pow, gamma, gamma_ratio, log_gamma
+from .special import complex_pow, gamma_ratio
 
 __all__ = [
     "QuadConfig",
@@ -102,8 +102,7 @@ _DEGREES = (32, 64, 128, 256)
 class QuadConfig(namedtuple("QuadConfig", "rel_tol")):
     """Quadrature tolerance: rel_tol (finite, > 0) is the relative agreement
     that two successive estimates on the degree ladder 32, 64, 128, 256 (the
-    Legendre sizes 24 to 128 for a derivative of an opaque integrand) must
-    reach."""
+    sizes 24 to 128 for a derivative of an opaque integrand) must reach."""
 
     __slots__ = ()
 
@@ -188,6 +187,15 @@ def _weights(sigma: complex, n: int) -> tuple[complex, ...]:
     return tuple(w)
 
 
+@functools.lru_cache(maxsize=8)
+def _cosine_rows(n: int) -> tuple[tuple[float, ...], ...]:
+    """Row m, m < n, holds T_m(2u_i - 1) = cos(m (2i+1) pi / 2n) at the
+    nodes u_i of cheb_nodes01(n), read from a table of cos(k pi / 2n),
+    k < 4n, at the exactly reduced k = m (2i+1) mod 4n."""
+    table = [math.cos(k * (math.pi / (2 * n))) for k in range(4 * n)]
+    return tuple(tuple(table[m * (2 * i + 1) % (4 * n)] for i in range(n)) for m in range(n))
+
+
 def _dot(w: Sequence[complex], values: Sequence[complex]) -> complex:
     """sum(w_i * values_i): each product rounded once, its real and
     imaginary parts summed exactly."""
@@ -218,9 +226,9 @@ def _power_panel(
 
 _SPLIT = 0.5
 _EPS = sys.float_info.epsilon
-# Legendre expansion sizes of a derivative of an opaque integrand, walked
+# Chebyshev expansion sizes of a derivative of an opaque integrand, walked
 # until two successive chopped expansions agree.
-_LEGENDRE_SIZES = (24, 32, 48, 64, 96, 128)
+_DERIVATIVE_SIZES = (24, 32, 48, 64, 96, 128)
 # Finite differences: base step relative to max(1, |x|), and the number of
 # step sizes h, h/2, h/4, ... that Richardson extrapolation combines.
 _FD_STEP_SCALE = 0.01
@@ -245,45 +253,6 @@ def _integral01(
 
     left = _power_panel(cofactor, p, s, _SPLIT, n)
     return left + right
-
-
-def _legendre_pair(n: int, t: float) -> tuple[float, float]:
-    """P_n(t) and P_n'(t) for n >= 1, |t| < 1, by the three-term recurrence."""
-    prev, cur = 1.0, t
-    for k in range(2, n + 1):
-        prev, cur = cur, ((2 * k - 1) * t * cur - (k - 1) * prev) / k
-    return cur, n * (t * cur - prev) / (t * t - 1.0)
-
-
-@functools.lru_cache(maxsize=8)
-def _legendre_rule(n: int) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
-    """Gauss-Legendre nodes t_j on (-1, 1) and the analysis matrix
-    A[m][j] = (2m+1)/2 w_j P_m(t_j), m, j < n: sum_j A[m][j] g(t_j) is the
-    m-th Legendre coefficient of g, exactly so for a polynomial of degree < n.
-
-    Each node is a root of P_n, found by Newton's method from
-    cos(pi (j + 3/4) / (n + 1/2)); w_j = 2 / ((1 - t_j^2) P_n'(t_j)^2).
-    """
-    nodes, weights = [], []
-    for j in range(n):
-        t = math.cos(math.pi * (j + 0.75) / (n + 0.5))
-        for _ in range(100):
-            p, dp = _legendre_pair(n, t)
-            step = p / dp
-            t -= step
-            if abs(step) <= _EPS:
-                break
-        _, dp = _legendre_pair(n, t)
-        nodes.append(t)
-        weights.append(2.0 / ((1.0 - t * t) * dp * dp))
-    rows = [[0.5 * w for w in weights], [1.5 * w * t for w, t in zip(weights, nodes)]]
-    prev, cur = [1.0] * n, list(nodes)
-    for m in range(1, n - 1):
-        prev, cur = cur, [
-            ((2 * m + 1) * t * c - m * p) / (m + 1) for t, c, p in zip(nodes, cur, prev)
-        ]
-        rows.append([(m + 1.5) * w * c for w, c in zip(weights, cur)])
-    return tuple(nodes), tuple(map(tuple, rows))
 
 
 def _plateau_cutoff(coeffs: Sequence[complex]) -> int | None:
@@ -328,21 +297,35 @@ def _plateau_cutoff(coeffs: Sequence[complex]) -> int | None:
     return max(biased.index(min(biased)), 1)
 
 
-# An order fills one entry per size it reaches, six at most, so 64 entries
-# keep about ten orders.
-@functools.lru_cache(maxsize=64)
-def _derivative_ratios(s: complex, n: int) -> tuple[complex, ...]:
-    """Gamma(m+1+s) / (Gamma(1+s) Gamma(m+1-s)) for m < n, a Legendre size;
-    a pole of Gamma(m+1-s) (an integer s > m) gives 0.  Each size extends
-    the tuple of the size below it, so every ratio is computed once."""
-    i = _LEGENDRE_SIZES.index(n)
-    head = _derivative_ratios(s, _LEGENDRE_SIZES[i - 1]) if i else ()
-    # In log space: 1/Gamma(1+s) overflows (OverflowError) once |Im s|
-    # passes about 450, where Gamma(1+s) itself would underflow to 0.
-    inverse = cmath.exp(-log_gamma(1.0 + s))
-    return head + tuple(
-        gamma_ratio(m + 1.0 + s, m + 1.0 - s) * inverse for m in range(len(head), n)
-    )
+# One entry per order, holding every size's images.
+@functools.lru_cache(maxsize=16)
+def _endpoint_images(sigma: complex) -> tuple[complex, ...]:
+    """J^sigma T_m(2u - 1) at u = 1, (-1)^m q_m(sigma) / Gamma(sigma), for
+    m < 128, continued to every complex sigma (at sigma = -s, D^s T_m).
+
+    With P_m = q_m(sigma) (sigma)_(m+1) / m!, the image is
+    (-1)^m P_m m! / Gamma(sigma+m+1), and both factors are entire: the
+    moment recurrence rescaled to P has no division by sigma + m + 1.
+    m! / Gamma(sigma+m+1) is a Gamma ratio up to the first m with
+    Re(sigma+m+1) >= 1, and a running product beyond it, so that no
+    product starts near a pole.  A ratio that overflows (|Im sigma| past
+    about 450) raises OverflowError.
+    """
+    n = _DERIVATIVE_SIZES[-1]
+    p = [1.0 + 0j, sigma - 1.0, (sigma * sigma - 5.0 * sigma + 2.0) / 2.0]
+    rising = sigma * (sigma + 1.0)  # (sigma)_(j+1) / j!, here at j = 1
+    for j in range(2, n - 1):
+        rising *= (sigma + j) / j
+        p.append(
+            -2.0 * rising / (j * j - 1.0)
+            - 2.0 * p[j]
+            + p[j - 1] * (sigma + j) * (sigma - j + 1.0) / (j * (j - 1.0))
+        )
+    first = max(0, math.ceil(-sigma.real))
+    ratios = [gamma_ratio(m + 1.0, sigma + m + 1.0) for m in range(first + 1)]
+    for m in range(first + 1, n):
+        ratios.append(ratios[-1] * m / (sigma + m))
+    return tuple(pm * r if m % 2 == 0 else -pm * r for m, (pm, r) in enumerate(zip(p, ratios)))
 
 
 def _converge(
@@ -421,7 +404,9 @@ def integrate_numeric(
     def g(u: float) -> complex:
         return complex(f(x0 + u * scale))
 
-    factor = complex_pow(scale, s) / gamma(s)
+    # 1/Gamma(s) in log space: once |Im s| passes about 450, Gamma(s)
+    # underflows to 0 and its reciprocal overflows (OverflowError).
+    factor = complex_pow(scale, s) * gamma_ratio(1.0, s)
     try:
         integral = _converge(lambda n: _integral01(g, s, n, p), cfg)
     except ConvergenceError as exc:
@@ -518,7 +503,7 @@ def differentiate_numeric(
     return central_derivative(inner, x, k, lower_limit=x0)
 
 
-def legendre_derivative(
+def chebyshev_derivative(
     f: Callable[[float], complex],
     s: complex,
     x: float,
@@ -527,52 +512,54 @@ def legendre_derivative(
 ) -> complex:
     """Derivative of order ``s`` (Re(s) >= 0) of a smooth ``f`` from ``x0``, at ``x``.
 
-    ``f`` is expanded on [x0, x] in Legendre polynomials P_m(t),
-    t = 2 (y - x0) / (x - x0) - 1, from its values at n Gauss-Legendre
-    nodes.  By Bateman's fractional integral of Jacobi polynomials, D^s
-    maps P_m to (x - x0)^(-s) m! / Gamma(m+1-s) times the Jacobi polynomial
-    P_m^(s,-s) at the endpoint t = 1, which is Gamma(m+1+s) / (m! Gamma(1+s)):
+    ``f`` is sampled at the n nodes of ``cheb_nodes01``, mapped to
+    [x0, x] by y = x0 + u (x - x0), and expanded in T_m(2u - 1).  The
+    product-integration moments continue to every order: D^s maps
+    T_m(2u - 1) at u = 1 to (-1)^m q_m(-s) / Gamma(-s), which
+    ``_endpoint_images`` evaluates in a form without poles, so
 
-        D^s f(x) = (x - x0)^(-s) / Gamma(1+s) * sum_m c_m Gamma(m+1+s) / Gamma(m+1-s).
+        D^s f(x) = (x - x0)^(-s) * sum_m c_m (-1)^m q_m(-s) / Gamma(-s).
 
     This is exact for a polynomial of degree < n at every complex s, and
     exactly 0 at an integer s on a polynomial of degree < s, where
-    1/Gamma(m+1-s) vanishes.  The coefficients are chopped at their
-    rounding plateau (``_plateau_cutoff``); a size whose coefficients reach
-    none resolves nothing.  The sizes 24, 32, 48, 64, 96, 128 are walked
-    until two successive resolved sizes agree to ``cfg.rel_tol``; otherwise
-    ConvergenceError carries the best estimate (None when no size
+    1/Gamma(-s+m+1) vanishes for m < s.  The coefficients are chopped at
+    their rounding plateau (``_plateau_cutoff``); a size whose coefficients
+    reach none resolves nothing.  The sizes 24, 32, 48, 64, 96, 128 are
+    walked until two successive resolved sizes agree to ``cfg.rel_tol``;
+    otherwise ConvergenceError carries the best estimate (None when no size
     resolved).  A sample that is not finite raises DomainError.
     """
     s = complex(s)
     if cfg is None:
         cfg = QuadConfig()
     if s.real < 0:
-        raise DomainError(f"legendre_derivative needs Re(s) >= 0, got {s!r}")
+        raise DomainError(f"chebyshev_derivative needs Re(s) >= 0, got {s!r}")
     if not (math.isfinite(x) and math.isfinite(x0)):
-        raise DomainError("legendre_derivative needs finite x and x0")
+        raise DomainError("chebyshev_derivative needs finite x and x0")
     if not x > x0:
-        raise DomainError(f"legendre_derivative needs x > x0, got x={x!r}, x0={x0!r}")
-    half = 0.5 * (x - x0)
+        raise DomainError(f"chebyshev_derivative needs x > x0, got x={x!r}, x0={x0!r}")
+    scale = x - x0
+    images = _endpoint_images(-s)
 
     def estimate(n: int) -> complex | None:
-        nodes, analysis = _legendre_rule(n)
-        values = [complex(f(x0 + (1.0 + t) * half)) for t in nodes]
+        values = [complex(f(x0 + u * scale)) for u in _nodes(n)]
         if not all(map(cmath.isfinite, values)):
             raise DomainError(f"the integrand is not finite on [{x0!r}, {x!r}]")
+        rows = _cosine_rows(n)
         re = [v.real for v in values]
         im = [v.imag for v in values]
         # Each coefficient is a real row dotted with the samples, summed
         # exactly; a real integrand has real coefficients.
-        coeffs = [fsum(map(mul, row, re)) for row in analysis]
+        coeffs = [fsum(map(mul, row, re)) for row in rows]
         if any(im):
-            coeffs = [complex(c, fsum(map(mul, row, im))) for c, row in zip(coeffs, analysis)]
+            coeffs = [complex(c, fsum(map(mul, row, im))) for c, row in zip(coeffs, rows)]
+        coeffs[0] *= 0.5
         cut = _plateau_cutoff(coeffs)
-        return None if cut is None else _dot(_derivative_ratios(s, n)[:cut], coeffs[:cut])
+        return None if cut is None else (2.0 / n) * _dot(images[:cut], coeffs[:cut])
 
-    factor = complex_pow(x - x0, -s)
+    factor = complex_pow(scale, -s)
     try:
-        total = _converge(estimate, cfg, _LEGENDRE_SIZES)
+        total = _converge(estimate, cfg, _DERIVATIVE_SIZES)
     except ConvergenceError as exc:
         if exc.best_estimate is not None:
             exc.best_estimate = factor * exc.best_estimate

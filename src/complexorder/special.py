@@ -106,7 +106,14 @@ def _exp(w: complex, real: bool) -> complex:
 def _log_sin_pi_upper(z: complex) -> complex:
     # Continuity-corrected log sin(pi z) for Im(z) >= 0, from
     # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}) with |e^{2 i pi z}| <= 1,
-    # so the remaining logarithm never crosses a branch cut.
+    # so the remaining logarithm never crosses a branch cut.  Within 1/4 of
+    # an integer n, 1 - e^{2 i pi z} cancels; there the same branch is
+    # -i pi n + log sin(pi (z - n)), with z - n exact (an imaginary part of
+    # -0.0 is made +0.0, so that the real axis stays on the upper side).
+    n = round(z.real)
+    d = complex(z.real - n, z.imag + 0.0)
+    if abs(d) < 0.25:
+        return -1j * math.pi * n + cmath.log(cmath.sin(math.pi * d))
     w = cmath.exp(2j * math.pi * z)
     return -math.log(2.0) + 0.5j * math.pi - 1j * math.pi * z + cmath.log(1.0 - w)
 

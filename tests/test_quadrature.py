@@ -26,6 +26,7 @@ from complexorder import (
 )
 from complexorder import quadrature
 from complexorder.quadrature import (
+    _endpoint_images,
     _integral01,
     _plateau_cutoff,
     _weights,
@@ -196,6 +197,60 @@ def test_opaque_derivative_matches_qaws(s, x):
     (r,) = apply(parse_operator(f"D^({s})"), f, [x], Method.NUMERIC)
     if r.status is EvalStatus.OK:
         assert rel(r.value, qaws(YCOS3[k], k - s, x)) <= 1e-9
+
+
+def ycos_derivative(s, x, omega=1.5):
+    """D^s of y cos(omega y) from 0, at x: its Taylor series mapped term by
+    term by the Gamma ratio, in 30-digit mpmath."""
+    with mpmath.workdps(30):
+        s, x, w = mpmath.mpc(s), mpmath.mpf(x), mpmath.mpf(omega)
+        return complex(
+            mpmath.fsum(
+                (-1) ** j * w ** (2 * j) * (2 * j + 1) * mpmath.power(x, 2 * j + 1 - s)
+                * mpmath.rgamma(2 * j + 2 - s)
+                for j in range(60)
+            )
+        )
+
+
+@pytest.mark.parametrize(
+    "op, s",
+    [
+        ("D^(3.000000000001)", 3.000000000001),
+        ("D^(2.999999999999)", 2.999999999999),
+        ("D^(2.99999999)", 2.99999999),
+        ("D^(3+1e-12i)", 3 + 1e-12j),
+        ("D^(3.99999999999)", 3.99999999999),
+    ],
+)
+def test_opaque_derivative_at_near_integer_orders(op, s):
+    # m! / Gamma(m+1-s) passes close to a pole for m < s.  The images are
+    # entire there; a moment recurrence that divides by m+1-s is not.
+    f = OpaqueFunction(fn=lambda y: y * math.cos(1.5 * y) if y > 0 else 0.0)
+    for r in apply(parse_operator(op), f, [1.0, 2.0], Method.NUMERIC):
+        assert r.status is EvalStatus.OK
+        assert rel(r.value, ycos_derivative(s, r.x)) <= QuadConfig().rel_tol
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 0.01 + 3j, 2.5 - 1j, 0.3 + 10j, 6 + 2j])
+def test_endpoint_images_continue_the_moments(sigma):
+    # For Re(sigma) > 0, J^sigma T_m(2u - 1) at u = 1 is (-1)^m q_m / Gamma.
+    images = _endpoint_images(complex(sigma))
+    q = chebyshev_power_moments(sigma, len(images))
+    expected = [(-1) ** m * q_m / gamma(sigma) for m, q_m in enumerate(q)]
+    scale = max(map(abs, expected))
+    assert max(abs(a - b) for a, b in zip(images, expected)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_endpoint_images_at_integer_derivative_orders(k):
+    # D^k T_m(2u - 1) at u = 1 is 2^k T_m^(k)(1) = 2^k prod_(i<k) (m^2 - i^2) / (2i + 1).
+    for m, image in enumerate(_endpoint_images(complex(-k))):
+        expected = 2.0**k * math.prod((m * m - i * i) / (2 * i + 1) for i in range(k))
+        if expected == 0:
+            assert image == 0
+        else:
+            assert rel(image, expected) <= 1e-12
 
 
 def test_plateau_cutoff_drops_only_rounding_noise():

@@ -21,6 +21,7 @@ from complexorder import (
 
 from oracles import (
     BETA_REFERENCES,
+    GAMMA_NEAR_POLE_REFERENCES,
     GAMMA_RATIO_REFERENCES,
     GAMMA_REFERENCES,
     LOG_GAMMA_REFERENCES,
@@ -49,6 +50,14 @@ def sample_away_from_poles(rng, lo, hi, n):
 @pytest.mark.parametrize("z,expected", GAMMA_REFERENCES)
 def test_gamma_reference_values(z, expected):
     assert rel(gamma(z), expected) <= 1e-12
+
+
+@pytest.mark.parametrize("z,expected", GAMMA_NEAR_POLE_REFERENCES)
+def test_gamma_near_its_poles(z, expected):
+    # The reflection formula's sin(pi z) is taken at z - n there, not as
+    # 1 - e^(2 i pi z), which cancels to about |z - n| relative.
+    assert not is_near_pole(z)
+    assert rel(gamma(z), expected) <= 1e-13
 
 
 @pytest.mark.parametrize("z,expected", LOG_GAMMA_REFERENCES)
