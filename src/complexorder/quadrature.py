@@ -84,7 +84,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .errors import ConvergenceError, DomainError
-from .special import complex_pow, gamma_ratio
+from .special import _exp, complex_pow, gamma_ratio, log_gamma
 
 __all__ = [
     "QuadConfig",
@@ -151,6 +151,12 @@ def chebyshev_power_moments(sigma: complex, n: int) -> list[complex]:
     return q
 
 
+@functools.lru_cache(maxsize=16)
+def _cosine_table(n: int) -> tuple[float, ...]:
+    """cos(k pi / 2n), k < 4n: T_j at the nodes, read at k = j (2i+1) mod 4n."""
+    return tuple(math.cos(k * (math.pi / (2 * n))) for k in range(4 * n))
+
+
 # A grid needs one entry per order (the kernel's, and p+1 per power term) and
 # degree: 16 for three power terms doubling 32 -> 256.  128 entries keep
 # several grids' worth and bound the cache at about 1.3 MB.
@@ -174,7 +180,7 @@ def _weights(sigma: complex, n: int) -> tuple[complex, ...]:
     odd_im = [c.imag for c in a[1::2]]
     # The table repeated past the largest index j (2i+1) < n^2, so that
     # each node's row is a strided slice.
-    table = [math.cos(m * (math.pi / (2 * n))) for m in range(4 * n)] * (n // 4 + 1)
+    table = _cosine_table(n) * (n // 4 + 1)
     w = [0j] * n
     for i in range((n + 1) // 2):
         step = 2 * i + 1
@@ -190,9 +196,9 @@ def _weights(sigma: complex, n: int) -> tuple[complex, ...]:
 @functools.lru_cache(maxsize=8)
 def _cosine_rows(n: int) -> tuple[tuple[float, ...], ...]:
     """Row m, m < n, holds T_m(2u_i - 1) = cos(m (2i+1) pi / 2n) at the
-    nodes u_i of cheb_nodes01(n), read from a table of cos(k pi / 2n),
-    k < 4n, at the exactly reduced k = m (2i+1) mod 4n."""
-    table = [math.cos(k * (math.pi / (2 * n))) for k in range(4 * n)]
+    nodes u_i of cheb_nodes01(n), read from the cosine table at the exactly
+    reduced k = m (2i+1) mod 4n."""
+    table = _cosine_table(n)
     return tuple(tuple(table[m * (2 * i + 1) % (4 * n)] for i in range(n)) for m in range(n))
 
 
@@ -307,9 +313,8 @@ def _endpoint_images(sigma: complex) -> tuple[complex, ...]:
     (-1)^m P_m m! / Gamma(sigma+m+1), and both factors are entire: the
     moment recurrence rescaled to P has no division by sigma + m + 1.
     m! / Gamma(sigma+m+1) is a Gamma ratio up to the first m with
-    Re(sigma+m+1) >= 1, and a running product beyond it, so that no
-    product starts near a pole.  A ratio that overflows (|Im sigma| past
-    about 450) raises OverflowError.
+    Re(sigma+m+1) >= 1 and a running product beyond it, so no product
+    starts near a pole; past |Im sigma| ~ 450 it raises OverflowError.
     """
     n = _DERIVATIVE_SIZES[-1]
     p = [1.0 + 0j, sigma - 1.0, (sigma * sigma - 5.0 * sigma + 2.0) / 2.0]
@@ -331,12 +336,15 @@ def _endpoint_images(sigma: complex) -> tuple[complex, ...]:
 def _converge(
     estimate: Callable[[int], complex | None],
     cfg: QuadConfig,
+    factor: complex,
     sizes: Sequence[int] = _DEGREES,
 ) -> complex:
-    """Walk ``sizes`` until two successive estimates agree to cfg.rel_tol.
+    """Walk ``sizes`` until two successive estimates agree to cfg.rel_tol,
+    and return the later one times ``factor``.
 
     An estimate of None (a size that does not resolve the integrand) agrees
-    with nothing.
+    with nothing.  ConvergenceError carries the best estimate times
+    ``factor`` (None when no size resolved).
     """
     prev = best = None
     best_err = math.inf
@@ -350,7 +358,7 @@ def _converge(
             # unverified, so a rel_tol below machine epsilon is never met.
             diff = max(abs(cur - prev), _EPS * denom)
             if diff <= cfg.rel_tol * denom:
-                return cur
+                return factor * cur
             err = diff / denom
             if err < best_err:
                 best_err, best = err, cur
@@ -358,7 +366,7 @@ def _converge(
     raise ConvergenceError(
         f"quadrature did not reach rel_tol={cfg.rel_tol:g} by degree {sizes[-1]} "
         f"(best successive agreement {best_err:.3e})",
-        best_estimate=best,
+        best_estimate=None if best is None else factor * best,
         achieved_rel_err=best_err,
     )
 
@@ -404,18 +412,14 @@ def integrate_numeric(
     def g(u: float) -> complex:
         return complex(f(x0 + u * scale))
 
-    # 1/Gamma(s) in log space: once |Im s| passes about 450, Gamma(s)
-    # underflows to 0 and its reciprocal overflows (OverflowError).
-    factor = complex_pow(scale, s) * gamma_ratio(1.0, s)
+    # 1/Gamma(s) in log space: it overflows (OverflowError) where Gamma(s)
+    # underflows, past |Im s| ~ 450, and an s next to 0 raises PoleError.
+    factor = complex_pow(scale, s) * _exp(-log_gamma(s), s.imag == 0.0)
     try:
-        integral = _converge(lambda n: _integral01(g, s, n, p), cfg)
-    except ConvergenceError as exc:
-        exc.best_estimate = factor * exc.best_estimate
-        raise
+        return _converge(lambda n: _integral01(g, s, n, p), cfg, factor)
     except ZeroDivisionError as exc:
         # The left-panel cofactor g(u) / u^p, once u^p underflows to 0.
         raise DomainError(f"division by zero sampling the integrand: {exc}") from exc
-    return factor * integral
 
 
 def central_derivative(
@@ -523,11 +527,12 @@ def chebyshev_derivative(
     This is exact for a polynomial of degree < n at every complex s, and
     exactly 0 at an integer s on a polynomial of degree < s, where
     1/Gamma(-s+m+1) vanishes for m < s.  The coefficients are chopped at
-    their rounding plateau (``_plateau_cutoff``); a size whose coefficients
-    reach none resolves nothing.  The sizes 24, 32, 48, 64, 96, 128 are
-    walked until two successive resolved sizes agree to ``cfg.rel_tol``;
-    otherwise ConvergenceError carries the best estimate (None when no size
-    resolved).  A sample that is not finite raises DomainError.
+    their rounding plateau (``_plateau_cutoff``).  A size resolves nothing
+    when they reach none, or when an integer s is at or past the cut while
+    the kept ones end less than eps^(-1/2) above the plateau (no polynomial
+    of degree < s).  The sizes 24, 32, 48, 64, 96, 128 are walked until two
+    successive resolved sizes agree to ``cfg.rel_tol``, as in ``_converge``.
+    A sample that is not finite raises DomainError.
     """
     s = complex(s)
     if cfg is None:
@@ -555,16 +560,16 @@ def chebyshev_derivative(
             coeffs = [complex(c, fsum(map(mul, row, im))) for c, row in zip(coeffs, rows)]
         coeffs[0] *= 0.5
         cut = _plateau_cutoff(coeffs)
-        return None if cut is None else (2.0 / n) * _dot(images[:cut], coeffs[:cut])
+        if cut is None:
+            return None
+        # An integer s >= cut maps every kept term to 0, which is D^s f only
+        # for a polynomial of degree < s: its coefficients drop abruptly to
+        # the plateau, while ones that decay into it leave D^s f unresolved.
+        if not any(images[:cut]) and abs(coeffs[cut - 1]) * _EPS**0.5 < max(map(abs, coeffs[cut:])):
+            return None
+        return (2.0 / n) * _dot(images[:cut], coeffs[:cut])
 
-    factor = complex_pow(scale, -s)
-    try:
-        total = _converge(estimate, cfg, _DERIVATIVE_SIZES)
-    except ConvergenceError as exc:
-        if exc.best_estimate is not None:
-            exc.best_estimate = factor * exc.best_estimate
-        raise
-    return factor * total
+    return _converge(estimate, cfg, complex_pow(scale, -s), _DERIVATIVE_SIZES)
 
 
 def integrate_exp_lower_inf(s: complex, x: float, cfg: QuadConfig | None = None) -> complex:

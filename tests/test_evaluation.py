@@ -19,7 +19,7 @@ from complexorder import (
     parse_operator,
 )
 from complexorder import quadrature
-from complexorder.quadrature import _cosine_rows, _endpoint_images, _weights
+from complexorder.quadrature import _cosine_rows, _cosine_table, _endpoint_images, _weights
 
 
 def rel(a, b):
@@ -356,6 +356,16 @@ def test_opaque_derivative_of_too_high_order_is_not_ok():
     assert [r.status for r in results] == [EvalStatus.CONVERGENCE_ERROR] * 2
 
 
+@pytest.mark.parametrize("op", ["D^(16)", "D^(20)"])
+def test_integer_order_past_the_chop_of_a_smooth_integrand_is_not_ok(op):
+    # y cos 2y on [0, 1] chops near 16 terms, and D^16, D^20 map every kept
+    # term to 0; its coefficients decay into the plateau, so 0 is no answer
+    # (the true values are of order 1e5 and 1e7).
+    f = OpaqueFunction(fn=lambda y: y * math.cos(2.0 * y) if y > 0 else 0.0)
+    results = apply(parse_operator(op), f, [1.0], Method.NUMERIC)
+    assert [r.status for r in results] == [EvalStatus.CONVERGENCE_ERROR]
+
+
 @pytest.mark.parametrize(
     "op, fn",
     [
@@ -377,12 +387,22 @@ def test_opaque_derivative_failures_stay_in_their_rows(op, fn):
         ("J^(0.5+1000i)", parse_function("x^2")),
         ("D^(0.5+1000i)", parse_function("x^2")),
         ("J^(0.5+1000i)", OpaqueFunction(fn=lambda y: y * math.cos(2.0 * y) if y > 0 else 0.0)),
+        ("J^(1e-12)", parse_function("x^2")),
+        ("D^(2.999999999999)", parse_function("x^3")),
     ],
-    ids=["power-integral", "power-derivative", "opaque-integral"],
+    ids=[
+        "power-integral",
+        "power-derivative",
+        "opaque-integral",
+        "integral-next-to-pole",
+        "derivative-next-to-pole",
+    ],
 )
-def test_underflowing_gamma_is_a_domain_error_of_the_point(op, f):
+def test_reciprocal_gamma_failures_are_domain_errors_of_the_point(op, f):
     # Gamma(0.5+1000i) underflows to 0; 1/Gamma, taken in log space,
-    # overflows instead of dividing by zero, and fails the point only.
+    # overflows instead of dividing by zero, and fails the point only.  An
+    # integral order within POLE_TOLERANCE of 0 (here also the inner order
+    # 3 - s of the derivative) raises PoleError instead of reading 0.
     results = apply(parse_operator(op), f, [1.0, 2.0], Method.NUMERIC)
     assert [r.status for r in results] == [EvalStatus.DOMAIN_ERROR] * 2
 
@@ -418,7 +438,7 @@ def test_result_order_matches_xs_order():
 
 def test_concurrent_grids_match_serial_run():
     # Threads share the quadrature caches (product-integration weights,
-    # cosine rows, endpoint images), starting empty so that they race
+    # cosine table and rows, endpoint images), starting empty so that they race
     # on their misses; every result must equal the serial run's exactly.
     grids = [
         (parse_operator("J^(0.7+0.4i)"), parse_function("2*x^(0.5) + x^(1+1i)"), Method.BOTH),
@@ -440,7 +460,7 @@ def test_concurrent_grids_match_serial_run():
         return [(r.status, r.value) for r in apply(expr, f, xs, method)]
 
     jobs = range(8 * len(grids))
-    caches = (_weights, _cosine_rows, _endpoint_images)
+    caches = (_weights, _cosine_table, _cosine_rows, _endpoint_images)
     for cache in caches:
         cache.cache_clear()
     serial = [run(job) for job in jobs]
