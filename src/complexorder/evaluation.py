@@ -91,50 +91,44 @@ def _numeric_evaluator(sigma: complex, f, cfg: _quad.QuadConfig):
     sigma a derivative of order -sigma, taken from a Chebyshev expansion
     for an opaque integrand and as D^k J^(k+sigma) otherwise."""
     if sigma == 0:
-        return lambda x: complex(f(x))
+        return f
     k = 0 if sigma.real > 0 else choose_k(-sigma)
     x0 = f.lower_limit
-    if k and isinstance(f, OpaqueFunction):
-        # A derivative of an opaque integrand: its Chebyshev expansion on
-        # [x0, x], each term mapped by its continued moment, point by point.
-        return lambda x: _quad.chebyshev_derivative(f, -sigma, x, x0, cfg)
-    if isinstance(f, CausalFunction):
-        if not math.isfinite(x0):
-            # Pure exponential with lower limit -inf: the integral of order
-            # k + sigma (k = 0 for an integral) is e^x times its value at 0,
-            # one quadrature for the grid, and D^k leaves e^x unchanged.
-            coef = f.exp_coef
-            if coef == 0:
-                return lambda x: 0j
-            try:
-                at_zero = _quad.integrate_exp_lower_inf(sigma + k, 0.0, cfg)
-            except _POINT_FAILURES as exc:
-                return _raising(exc, before=math.exp)  # an overflow stays the point's own
-            return lambda x: coef * math.exp(x) * at_zero
-        # Each power term declares its exponent, so its singularity at x0
-        # is integrated exactly.
-        parts = [
-            (lambda y, _c=t.coef, _p=t.exponent: _c * complex_pow(y - x0, _p), t.exponent)
-            for t in f.terms
-        ]
-    else:
-        # Opaque handle: no structural information to exploit.
-        parts = [(f, None)]
+    if isinstance(f, OpaqueFunction):
+        if k:
+            # Its Chebyshev expansion on [x0, x], each term mapped by its
+            # continued moment, point by point.
+            return lambda x: _quad.chebyshev_derivative(f, -sigma, x, x0, cfg)
+        return lambda x: _quad.integrate_numeric(f, sigma, x, x0, cfg)
+    if not math.isfinite(x0):
+        # Pure exponential with lower limit -inf: the integral of order
+        # k + sigma (k = 0 for an integral) is e^x times its value at 0,
+        # one quadrature for the grid, and D^k leaves e^x unchanged.
+        coef = f.exp_coef
+        if coef == 0:
+            return lambda x: 0j
+        try:
+            at_zero = _quad.integrate_exp_lower_inf(sigma + k, 0.0, cfg)
+        except _POINT_FAILURES as exc:
+            return _raising(exc, before=math.exp)  # an overflow stays the point's own
+        return lambda x: coef * math.exp(x) * at_zero
+    # Each power term declares its exponent, so its singularity at x0 is
+    # integrated exactly.
+    terms = [
+        (lambda y, _c=t.coef, _p=t.exponent: _c * complex_pow(y - x0, _p), t.exponent)
+        for t in f.terms
+    ]
 
-    if k == 0:
-        def part(g, p, x: float) -> complex:
-            return _quad.integrate_numeric(g, sigma, x, x0, cfg, singular_exponent=p)
-    else:
-        def part(g, p, x: float) -> complex:
-            return _quad.differentiate_numeric(g, -sigma, x, x0, k, cfg, singular_exponent=p)
-
-    def numeric_at(x: float) -> complex:
+    def power_sum(x: float) -> complex:
         total = 0j
-        for g, p in parts:
-            total += part(g, p, x)
+        for g, p in terms:
+            if k == 0:
+                total += _quad.integrate_numeric(g, sigma, x, x0, cfg, singular_exponent=p)
+            else:
+                total += _quad.differentiate_numeric(g, -sigma, x, x0, k, cfg, singular_exponent=p)
         return total
 
-    return numeric_at
+    return power_sum
 
 
 def apply(

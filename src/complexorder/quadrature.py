@@ -44,12 +44,13 @@ the standard library.
 
 When the integrand is known to carry a power factor (y - x0)^p at the
 lower endpoint (every symbolic power term does), passing
-``singular_exponent=p`` splits [0, 1] at 1/2: on the right panel the
-kernel weights absorb the singular-oscillatory kernel while the cofactor
-is analytic; on the left panel the roles swap and u^p is absorbed by the
-power weights of sigma = p+1.  Both cofactors are then analytic in a Bernstein
-ellipse with parameter 3 + 2*sqrt(2), so the interpolation converges
-geometrically regardless of p and s.
+``singular_exponent=p`` splits [0, 1] at 1/2 (``_integral01``): on the
+right panel the kernel weights absorb the singular-oscillatory kernel
+while the cofactor is analytic; on the left panel, rescaled to v = 2u,
+the roles swap: (1 - v/2)^(s-1) joins the cofactor g(v/2) / (v/2)^p and
+v^p is absorbed by the power weights of sigma = p+1.  Both cofactors are
+then analytic in a Bernstein ellipse with parameter 3 + 2*sqrt(2), so
+the interpolation converges geometrically regardless of p and s.
 
 The degree walks the fixed ladder 32, 64, 128, 256 until two successive
 estimates agree to ``cfg.rel_tol``, so every returned value rests on an
@@ -209,27 +210,6 @@ def _dot(w: Sequence[complex], values: Sequence[complex]) -> complex:
     return complex(fsum([z.real for z in products]), fsum([z.imag for z in products]))
 
 
-def _sample(g: Callable[[float], complex], n: int) -> list[complex]:
-    return [g(u) for u in _nodes(n)]
-
-
-def _kernel_panel(g: Callable[[float], complex], s: complex, n: int) -> complex:
-    """int_0^1 (1-u)^(s-1) g(u) du for smooth g (power weights reversed)."""
-    return _dot(_weights(s, n)[::-1], _sample(g, n))
-
-
-def _power_panel(
-    h: Callable[[float], complex], p: complex, s: complex, split: float, n: int
-) -> complex:
-    """int_0^split (1-u)^(s-1) u^p h(u) du for smooth h, Re(p) > -1.
-
-    Rescaled to v = u/split, the kernel factor becomes analytic and joins
-    the cofactor; v^p is integrated exactly via the power weights.
-    """
-    values = _sample(lambda v: complex_pow(1.0 - split * v, s - 1.0) * h(split * v), n)
-    return complex_pow(split, p + 1.0) * _dot(_weights(p + 1.0, n), values)
-
-
 _SPLIT = 0.5
 _EPS = sys.float_info.epsilon
 # Chebyshev expansion sizes of a derivative of an opaque integrand, walked
@@ -247,17 +227,19 @@ def _integral01(
     n: int,
     singular_exponent: complex | None,
 ) -> complex:
-    if singular_exponent is None:
-        return _kernel_panel(g, s, n)
+    """int_0^1 (1-u)^(s-1) g(u) du from n samples of g; a singular exponent
+    splits it at _SPLIT into a kernel and a power panel (module docstring)."""
+    nodes = _nodes(n)
+    kernel = _weights(s, n)[::-1]
     p = singular_exponent
-    right = complex_pow(1.0 - _SPLIT, s) * _kernel_panel(
-        lambda w: g(_SPLIT + (1.0 - _SPLIT) * w), s, n
-    )
-
-    def cofactor(u: float) -> complex:
-        return g(u) / complex_pow(u, p)
-
-    left = _power_panel(cofactor, p, s, _SPLIT, n)
+    if p is None:
+        return _dot(kernel, [g(u) for u in nodes])
+    right = complex_pow(1.0 - _SPLIT, s) * _dot(kernel, [g(_SPLIT + (1.0 - _SPLIT) * w) for w in nodes])
+    values = [
+        complex_pow(1.0 - _SPLIT * v, s - 1.0) * (g(_SPLIT * v) / complex_pow(_SPLIT * v, p))
+        for v in nodes
+    ]
+    left = complex_pow(_SPLIT, p + 1.0) * _dot(_weights(p + 1.0, n), values)
     return left + right
 
 
@@ -371,6 +353,13 @@ def _converge(
     )
 
 
+def _check_interval(caller: str, x: float, x0: float) -> None:
+    if not (math.isfinite(x) and math.isfinite(x0)):
+        raise DomainError(f"{caller} needs finite x and x0")
+    if not x > x0:
+        raise DomainError(f"{caller} needs x > x0, got x={x!r}, x0={x0!r}")
+
+
 # --------------------------------------------------------------------------
 # public operations
 # --------------------------------------------------------------------------
@@ -398,10 +387,7 @@ def integrate_numeric(
         cfg = QuadConfig()
     if not s.real > 0:
         raise DomainError(f"integrate_numeric needs Re(s) > 0, got {s!r}")
-    if not (math.isfinite(x) and math.isfinite(x0)):
-        raise DomainError("integrate_numeric needs finite x and x0")
-    if not x > x0:
-        raise DomainError(f"integrate_numeric needs x > x0, got x={x!r}, x0={x0!r}")
+    _check_interval("integrate_numeric", x, x0)
     p = None
     if singular_exponent is not None:
         p = complex(singular_exponent)
@@ -539,10 +525,7 @@ def chebyshev_derivative(
         cfg = QuadConfig()
     if s.real < 0:
         raise DomainError(f"chebyshev_derivative needs Re(s) >= 0, got {s!r}")
-    if not (math.isfinite(x) and math.isfinite(x0)):
-        raise DomainError("chebyshev_derivative needs finite x and x0")
-    if not x > x0:
-        raise DomainError(f"chebyshev_derivative needs x > x0, got x={x!r}, x0={x0!r}")
+    _check_interval("chebyshev_derivative", x, x0)
     scale = x - x0
     images = _endpoint_images(-s)
 
@@ -575,12 +558,14 @@ def chebyshev_derivative(
 def integrate_exp_lower_inf(s: complex, x: float, cfg: QuadConfig | None = None) -> complex:
     """Integral of order ``s`` (Re(s) > 0) of e^y on (-inf, x].
 
-    The infinite tail is truncated at x - T with T = 40 + 10 |Im(s)|
-    (the discarded tail is below e^-40 relative), and the rest is an
-    ordinary finite-limit integral.  T depends on s only, so the rule
-    commutes with translation: the value is e^x times the value at x = 0,
-    which is how a derivative of e^x from -inf is taken without finite
-    differences.  For integer s this reproduces e^x.
+    The infinite tail is truncated at x - T with T = 40 + 10 |Im(s)|,
+    and the rest is an ordinary finite-limit integral.  The discarded tail
+    is |Gamma(s, T) / Gamma(s)| of the exact value e^x, close to
+    Gamma(Re s, T) / Gamma(Re s): e^-40 only at s = 1, but 3.6e-15 at
+    s = 3, 1.7e-10 at s = 8 and 3.9e-9 at s = 10.  T depends on s only, so
+    the rule commutes with translation: the value is e^x times the value
+    at x = 0, which is how a derivative of e^x from -inf is taken without
+    finite differences.
     """
     T = 40.0 + 10.0 * abs(complex(s).imag)
     return integrate_numeric(math.exp, s, x, x - T, cfg)

@@ -256,6 +256,24 @@ def test_exp_lower_inf_derivatives_meet_rel_tol():
             assert rel(r.value, (1.5 - 0.5j) * math.exp(r.x)) <= 1e-9
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: every rung shares the kernel panel's error at high order, "
+    "so ok rows of J^8, J^(8+0.5i) and J^10 of exp(x) from -inf are outside rel_tol",
+)
+def test_exp_lower_inf_high_order_integrals_meet_rel_tol():
+    # J^s e^x from -inf is e^x, which is exactly the closed reference.  The
+    # truncated tail is only 1.7e-10 relative at Re s = 8, yet these rows
+    # read ok at 2.7e-8, 6.0e-8 and 2.5e-7 (J^7 is 8.8e-10 off, J^12 a
+    # convergence_error).
+    f = parse_function("exp(x)", lower_limit=-math.inf)
+    for op in ("J^(8)", "J^(8+0.5i)", "J^(10)"):
+        expr = parse_operator(op, lower_limit=-math.inf)
+        for r in apply(expr, f, [0.0, 1.0], Method.BOTH):
+            if r.status is EvalStatus.OK:
+                assert r.rel_err <= 1e-9, (op, r)
+
+
 def test_real_orders_on_real_powers_give_real_values():
     # Gamma of real arguments is real: the closed D^6.3 x^0.5 divides by
     # Gamma(-4.8), and the numeric D^0.7 x^1.5 by Gamma(0.3) (reflection).

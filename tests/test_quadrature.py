@@ -32,6 +32,7 @@ from complexorder.quadrature import (
     _weights,
     central_derivative,
     cheb_nodes01,
+    chebyshev_derivative,
     chebyshev_power_moments,
 )
 
@@ -318,6 +319,21 @@ def test_integrate_numeric_domain_errors():
         integrate_numeric(monomial(1), 0.5, -1.0, 0.0)
     with pytest.raises(DomainError):
         integrate_numeric(monomial(1), 0.5, 1.0, 0.0, singular_exponent=-1.5)
+    for x in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="integrate_numeric needs finite x"):
+            integrate_numeric(monomial(1), 0.5, x, 0.0)
+
+
+def test_chebyshev_derivative_domain_errors():
+    f = lambda y: y * math.cos(2 * y)
+    for s, x, x0 in ((-0.5, 1.0, 0.0), (0.5, 0.0, 0.0), (0.5, -1.0, 0.0)):
+        with pytest.raises(DomainError, match="chebyshev_derivative needs"):
+            chebyshev_derivative(f, s, x, x0)
+    for x, x0 in ((math.inf, 0.0), (math.nan, 0.0), (1.0, -math.inf), (1.0, math.nan)):
+        with pytest.raises(DomainError, match="chebyshev_derivative needs finite x and x0"):
+            chebyshev_derivative(f, 0.5, x, x0)
+    with pytest.raises(DomainError, match="not finite"):
+        chebyshev_derivative(lambda y: math.inf, 0.5, 1.0, 0.0)
 
 
 def test_convergence_error_carries_best_estimate():
