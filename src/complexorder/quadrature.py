@@ -52,6 +52,12 @@ v^p is absorbed by the power weights of sigma = p+1.  Both cofactors are
 then analytic in a Bernstein ellipse with parameter 3 + 2*sqrt(2), so
 the interpolation converges geometrically regardless of p and s.
 
+The left panel's factors (1 - v/2)^(s-1) and (v/2)^p at the n nodes depend
+only on (s, p, n), not on x or the integrand.  They are built once per
+ladder size of an integral, and a derivative builds them once for all of
+its stencil integrals, which share the order k - s and the exponent p.
+The table lives for one call: no cache holds it.
+
 The degree walks the fixed ladder 32, 64, 128, 256 until two successive
 estimates agree to ``cfg.rel_tol``, so every returned value rests on an
 agreeing pair; if none agrees by degree 256, ConvergenceError carries the
@@ -226,19 +232,30 @@ def _integral01(
     s: complex,
     n: int,
     singular_exponent: complex | None,
+    factors: dict[int, tuple[list[complex], list[complex]]] | None = None,
 ) -> complex:
     """int_0^1 (1-u)^(s-1) g(u) du from n samples of g; a singular exponent
-    splits it at _SPLIT into a kernel and a power panel (module docstring)."""
+    splits it at _SPLIT into a kernel and a power panel (module docstring).
+
+    ``factors`` maps n to the left panel's (1 - v/2)^(s-1) and (v/2)^p at
+    the nodes, filled on first use; integrals of the same s and p may share
+    it.  None keeps them to this call.
+    """
     nodes = _nodes(n)
     kernel = _weights(s, n)[::-1]
     p = singular_exponent
     if p is None:
         return _dot(kernel, [g(u) for u in nodes])
     right = complex_pow(1.0 - _SPLIT, s) * _dot(kernel, [g(_SPLIT + (1.0 - _SPLIT) * w) for w in nodes])
-    values = [
-        complex_pow(1.0 - _SPLIT * v, s - 1.0) * (g(_SPLIT * v) / complex_pow(_SPLIT * v, p))
-        for v in nodes
-    ]
+    if factors is None:
+        factors = {}
+    if n not in factors:
+        factors[n] = (
+            [complex_pow(1.0 - _SPLIT * v, s - 1.0) for v in nodes],
+            [complex_pow(_SPLIT * v, p) for v in nodes],
+        )
+    cofactors, powers = factors[n]
+    values = [c * (g(_SPLIT * v) / w) for c, v, w in zip(cofactors, nodes, powers)]
     left = complex_pow(_SPLIT, p + 1.0) * _dot(_weights(p + 1.0, n), values)
     return left + right
 
@@ -373,6 +390,7 @@ def integrate_numeric(
     cfg: QuadConfig | None = None,
     *,
     singular_exponent: complex | None = None,
+    _factors: dict[int, tuple[list[complex], list[complex]]] | None = None,
 ) -> complex:
     """Integral of order ``s`` (Re(s) > 0) of ``f`` from ``x0``, at ``x``.
 
@@ -381,6 +399,9 @@ def integrate_numeric(
     case the singular factor is integrated analytically (a u^p that
     underflows to 0 at a node raises DomainError).  A ConvergenceError
     carries the best estimate of this integral (normalization included).
+    The private ``_factors`` is a left-panel factor table shared by
+    integrals of the same ``s`` and ``singular_exponent`` (``_integral01``);
+    by default this integral builds its own.
     """
     s = complex(s)
     if cfg is None:
@@ -402,7 +423,7 @@ def integrate_numeric(
     # underflows, past |Im s| ~ 450, and an s next to 0 raises PoleError.
     factor = complex_pow(scale, s) * _exp(-log_gamma(s), s.imag == 0.0)
     try:
-        return _converge(lambda n: _integral01(g, s, n, p), cfg, factor)
+        return _converge(lambda n: _integral01(g, s, n, p, _factors), cfg, factor)
     except ZeroDivisionError as exc:
         # The left-panel cofactor g(u) / u^p, once u^p underflows to 0.
         raise DomainError(f"division by zero sampling the integrand: {exc}") from exc
@@ -469,7 +490,9 @@ def differentiate_numeric(
     at rel_tol tightened by 1e-3 (floor 1e-13), because the k-th difference
     amplifies inner noise by h^-k; an inner integral that reaches only
     rel_tol itself within the degree budget contributes its best estimate
-    instead of failing.
+    instead of failing.  The 6, 7 or 12 inner integrals (k = 1, 2, 3) share
+    one table of left-panel factors, so each value equals a standalone
+    ``integrate_numeric`` call to the last bit.
     """
     s = complex(s)
     if cfg is None:
@@ -479,11 +502,14 @@ def differentiate_numeric(
     if k < 1 or k <= s.real:
         raise DomainError(f"need integer k > Re(s); got k={k}, s={s!r}")
     inner_cfg = QuadConfig(rel_tol=max(cfg.rel_tol * 1e-3, 1e-13))
+    # Every stencil integral has order k - s and exponent p, so they share
+    # one table of left-panel factors, built once per ladder size.
+    factors: dict[int, tuple[list[complex], list[complex]]] = {}
 
     def inner(u: float) -> complex:
         try:
             return integrate_numeric(
-                f, k - s, u, x0, inner_cfg, singular_exponent=singular_exponent
+                f, k - s, u, x0, inner_cfg, singular_exponent=singular_exponent, _factors=factors
             )
         except ConvergenceError as exc:
             if exc.achieved_rel_err <= cfg.rel_tol:

@@ -424,13 +424,56 @@ def test_central_derivative_evaluates_the_centre_node_once():
         assert rel(got, (3 * 1.5**2, 6 * 1.5, 6.0)[k - 1]) <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "s, p, x, k",
+    [
+        (0.5, 1.5, 1.3, 1),
+        (1.25 + 0.5j, 0.5, 2.0, 2),
+        (2.5 - 0.3j, 1 + 1j, 1.7, 3),
+        # The widest stencil node, x - h0/2 = 0.001, lies next to x0.
+        (0.3 + 0.2j, 0.7 - 0.4j, 0.006, 1),
+    ],
+)
+def test_differentiate_numeric_equals_separate_stencil_integrals(s, p, x, k):
+    # The stencil integrals share one left-panel factor table; each must
+    # equal a standalone integral to the last bit.
+    cfg = QuadConfig(rel_tol=1e-9)
+    inner_cfg = QuadConfig(rel_tol=max(1e-3 * cfg.rel_tol, 1e-13))
+
+    def inner(u):
+        return integrate_numeric(monomial(p), k - s, u, 0.0, inner_cfg, singular_exponent=p)
+
+    expected = central_derivative(inner, x, k, lower_limit=0.0)
+    assert differentiate_numeric(monomial(p), s, x, 0.0, k, cfg, singular_exponent=p) == expected
+
+
+def test_differentiate_numeric_builds_left_panel_factors_once_per_size(monkeypatch):
+    # A k = 3 derivative runs 12 stencil integrals, each on the ladder sizes
+    # 32 and 64.  Each integral makes 5 powers of its own: (x - x0)^(k-s)
+    # once, and (1/2)^(k-s) and (1/2)^(p+1) per size.  The 2n left-panel
+    # factors per size are built once for all 12.
+    calls = [0]
+    original = quadrature.complex_pow
+
+    def counting(z, w):
+        calls[0] += 1
+        return original(z, w)
+
+    monkeypatch.setattr(quadrature, "complex_pow", counting)
+    p = 1.5
+    got = differentiate_numeric(lambda y: y**p, 2.25, 1.5, 0.0, 3, singular_exponent=p)
+    assert calls[0] == 2 * (32 + 64) + 12 * 5
+    coef, exponent = power_image(p, -2.25)
+    assert rel(got, coef * complex_pow(1.5, exponent)) <= 1e-6
+
+
 def test_relaxed_inner_tightens_and_accepts_only_the_callers_tolerance(monkeypatch):
     # Every inner integral fails with best estimate u^2; the derivative
     # uses it only while its agreement meets the caller's rel_tol.
     seen = []
     achieved = [1e-10]
 
-    def integral(f, s, u, x0, inner_cfg, *, singular_exponent=None):
+    def integral(f, s, u, x0, inner_cfg, *, singular_exponent=None, _factors=None):
         seen.append(inner_cfg.rel_tol)
         raise ConvergenceError("no", best_estimate=u * u + 0j, achieved_rel_err=achieved[0])
 
