@@ -33,14 +33,16 @@ Folding the interpolation into the moments gives one weight vector per
 The weights are cached per (sigma, n) as a tuple in a bounded
 ``functools.lru_cache``, so every estimate is one n-term sum over the
 samples: each product is rounded once and the real and imaginary parts
-are summed exactly with ``math.fsum``.  On a cache miss the weights are
-built from a table of cos(m pi / 2n), m < 4n, read at the exactly reduced
-argument m = j (2i+1) mod 4n.  First-kind nodes are symmetric,
-1 - u_i = u_(n-1-i), and T_j(2u_(n-1-i) - 1) = (-1)^j T_j(2u_i - 1), so
-one even-j and one odd-j partial sum per node (each summed with fsum)
-give both w_i and w_(n-1-i); the same symmetry lets the kernel
-(1-u)^(s-1) use the weights of sigma = s reversed.  The module uses only
-the standard library.
+are summed exactly with ``math.fsum``.  One table holds the Chebyshev
+values at the nodes, T_j(2u_i - 1) = cos(j (2i+1) pi / 2n), each read
+from cos(m pi / 2n), m < 4n, at the exactly reduced m = j (2i+1) mod 4n
+(``_cosine_rows``): its row j = 1 gives the nodes, its columns the weights
+on a cache miss, and its rows an opaque derivative's coefficients.
+First-kind nodes are symmetric, 1 - u_i = u_(n-1-i), and
+T_j(2u_(n-1-i) - 1) = (-1)^j T_j(2u_i - 1), so one even-j and one odd-j
+partial sum per node (each summed with fsum) give both w_i and
+w_(n-1-i); the same symmetry lets the kernel (1-u)^(s-1) use the weights
+of sigma = s reversed.  The module uses only the standard library.
 
 When the integrand is known to carry a power factor (y - x0)^p at the
 lower endpoint (every symbolic power term does), passing
@@ -69,8 +71,8 @@ commutes with translation there (see ``integrate_exp_lower_inf``).
 A derivative of an opaque integrand needs no inner integral either
 (``chebyshev_derivative``).  The same Chebyshev basis serves it: the
 integrand is sampled at the same nodes on [x0, x], its coefficients are
-read off the cos(m pi / 2n) table, and the moments give each term's image
-at every order, because J^sigma T_j(2u-1) at u = 1 is
+the table's rows dotted with the samples, and the moments give each
+term's image at every order, because J^sigma T_j(2u-1) at u = 1 is
 (-1)^j q_j(sigma) / Gamma(sigma), which is entire in sigma; at
 sigma = -s it is D^s T_j(2u-1), the paper's J^sigma = D^(-sigma).  The
 coefficients are chopped at their rounding plateau (Aurentz and
@@ -124,10 +126,23 @@ class QuadConfig(namedtuple("QuadConfig", "rel_tol")):
 # --------------------------------------------------------------------------
 
 
+# One entry per size of either ladder: 24, 32, 48, 64, 96, 128 and 256.
+@functools.lru_cache(maxsize=8)
+def _cosine_rows(n: int) -> tuple[tuple[float, ...], ...]:
+    """Row m, m < n, holds T_m(2u_i - 1) = cos(m (2i+1) pi / 2n) at the
+    nodes u_i of cheb_nodes01(n): the one place T_m is computed at the nodes.
+
+    Each entry is read from cos(k pi / 2n), k < 4n, at the exactly reduced
+    k = m (2i+1) mod 4n, so the rows share those 4n floats."""
+    step = math.pi / (2 * n)
+    table = [math.cos(k * step) for k in range(4 * n)]
+    odd = range(1, 2 * n, 2)  # 2i + 1
+    return tuple(tuple([table[m * o % (4 * n)] for o in odd]) for m in range(n))
+
+
 @functools.lru_cache(maxsize=16)
 def _nodes(n: int) -> tuple[float, ...]:
-    step = math.pi / n
-    return tuple((1.0 + math.cos((i + 0.5) * step)) / 2.0 for i in range(n))
+    return tuple((1.0 + t) / 2.0 for t in _cosine_rows(n)[1])
 
 
 def cheb_nodes01(n: int) -> tuple[float, ...]:
@@ -158,12 +173,6 @@ def chebyshev_power_moments(sigma: complex, n: int) -> list[complex]:
     return q
 
 
-@functools.lru_cache(maxsize=16)
-def _cosine_table(n: int) -> tuple[float, ...]:
-    """cos(k pi / 2n), k < 4n: T_j at the nodes, read at k = j (2i+1) mod 4n."""
-    return tuple(math.cos(k * (math.pi / (2 * n))) for k in range(4 * n))
-
-
 # A grid needs one entry per order (the kernel's, and p+1 per power term) and
 # degree: 16 for three power terms doubling 32 -> 256.  128 entries keep
 # several grids' worth and bound the cache at about 1.3 MB.
@@ -173,11 +182,11 @@ def _weights(sigma: complex, n: int) -> tuple[complex, ...]:
     the exact integral of u^(sigma-1) times the interpolant of g on [0, 1].
 
     w_i = sum_j a_j T_j(2u_i - 1) with a = (2/n) q(sigma), a_0 halved.
-    T_j(2u_i - 1) = cos(j (2i+1) pi / 2n) is read from a table of
-    cos(m pi / 2n), m < 4n, at m = j (2i+1) mod 4n (the argument reduced
-    exactly), and T_j(2u_(n-1-i) - 1) = (-1)^j T_j(2u_i - 1), so one even
-    and one odd partial sum give both w_i and w_(n-1-i).  Each partial sum
-    is summed exactly (fsum) in its real and imaginary parts.
+    T_j(2u_i - 1) is column i of ``_cosine_rows(n)``, and
+    T_j(2u_(n-1-i) - 1) = (-1)^j T_j(2u_i - 1), so the even-j and the odd-j
+    part of column i give both w_i and w_(n-1-i), for the first half's i.
+    Each partial sum is summed exactly (fsum) in its real and imaginary
+    parts.
     """
     a = [c * (2.0 / n) for c in chebyshev_power_moments(sigma, n)]
     a[0] *= 0.5
@@ -185,28 +194,14 @@ def _weights(sigma: complex, n: int) -> tuple[complex, ...]:
     even_im = [c.imag for c in a[0::2]]
     odd_re = [c.real for c in a[1::2]]
     odd_im = [c.imag for c in a[1::2]]
-    # The table repeated past the largest index j (2i+1) < n^2, so that
-    # each node's row is a strided slice.
-    table = _cosine_table(n) * (n // 4 + 1)
+    rows = _cosine_rows(n)
     w = [0j] * n
-    for i in range((n + 1) // 2):
-        step = 2 * i + 1
-        t_even = table[0 : step * n : 2 * step]
-        t_odd = table[step : step * n : 2 * step]
+    for i, t_even, t_odd in zip(range((n + 1) // 2), zip(*rows[0::2]), zip(*rows[1::2])):
         even = complex(fsum(map(mul, even_re, t_even)), fsum(map(mul, even_im, t_even)))
         odd = complex(fsum(map(mul, odd_re, t_odd)), fsum(map(mul, odd_im, t_odd)))
         w[n - 1 - i] = even - odd
         w[i] = even + odd  # the middle node of an odd n keeps this one
     return tuple(w)
-
-
-@functools.lru_cache(maxsize=8)
-def _cosine_rows(n: int) -> tuple[tuple[float, ...], ...]:
-    """Row m, m < n, holds T_m(2u_i - 1) = cos(m (2i+1) pi / 2n) at the
-    nodes u_i of cheb_nodes01(n), read from the cosine table at the exactly
-    reduced k = m (2i+1) mod 4n."""
-    table = _cosine_table(n)
-    return tuple(tuple(table[m * (2 * i + 1) % (4 * n)] for i in range(n)) for m in range(n))
 
 
 def _dot(w: Sequence[complex], values: Sequence[complex]) -> complex:

@@ -12,7 +12,9 @@ at 40 working digits, of the Riemann-Liouville image of signed order sigma
 * y cos(w y) and sin(w y) from 0: their Taylor series at 0, mapped term by
   term by the same ratio (an entire function of x, so the series converges
   for every x; it is summed until the terms fall below 1e-45 of the sum);
-* c e^x from -inf: c e^x at every order.
+* c e^x from -inf: c e^x at every order;
+* ``HIGH_ORDER_OPAQUE``: a few opaque derivatives at Re s >= 3, one point
+  each, by the same series.
 
 Each value is rounded to the nearest double, which is within 1.2e-16
 relative of the 30-digit value.
@@ -53,6 +55,13 @@ POWER_SUMS = (
     ("(2-1i)*x^(0.7) + x^(2.5+0.3i)", ((2 - 1j, 0.7), (1, 2.5 + 0.3j))),
 )
 OPAQUE = (("ycos", 2.0), ("sin", 3.0))
+# Opaque derivatives past the benchmark's orders, at Re s >= 3:
+# (operator text, its net signed order sigma, integrand, x).
+HIGH_ORDER_OPAQUE = (
+    ("D^(5.0-0.64i)", -5.0 + 0.64j, ("sin", 3.16), 1.85),
+    ("D^(5.0+1.3i)", -5.0 - 1.3j, ("sin", 3.16), 1.85),
+    ("D^(4.2-0.64i)", -4.2 + 0.64j, ("sin", 3.16), 0.9),
+)
 EXPONENTIALS = (("exp(x)", 1), ("(2-1i)*exp(x)", 2 - 1j))
 
 
@@ -128,6 +137,13 @@ def main() -> None:
             print("        )),")
         print("    ],")
     print("}")
+    print()
+    print("#: D^s images of opaque integrands from 0 at Re s >= 3, as (operator,")
+    print("#: integrand, x, reference).  Generated by gen_operator_references.py.")
+    print("HIGH_ORDER_OPAQUE_REFERENCES = [")
+    for op, sigma, (form, omega), x in HIGH_ORDER_OPAQUE:
+        print(f"    ({op!r}, {(form, omega)!r}, {x!r}, {_c(opaque_image(form, omega, sigma, x))}),")
+    print("]")
 
 
 if __name__ == "__main__":

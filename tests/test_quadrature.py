@@ -110,7 +110,7 @@ def test_weights_integrate_low_powers_exactly():
     # The rule is exact for polynomials of degree < n: u^k against u^(s-1)
     # gives 1/(s+k), and the reversed weights against the kernel
     # (1-u)^(s-1) give B(s, k+1).
-    for n in (32, 64):
+    for n in (32, 64, 128, 256):
         u = np.asarray(cheb_nodes01(n))
         for s in (0.5 + 0j, 0.3 + 2j, 0.05 + 5j, 2.7 - 0.4j, 10 + 0j):
             w = np.asarray(_weights(s, n))
