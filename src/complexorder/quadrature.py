@@ -31,13 +31,14 @@ Folding the interpolation into the moments gives one weight vector per
     int_0^1 u^(sigma-1) g(u) du ~ sum_i w_i g(u_i).
 
 The weights are cached per (sigma, n) as a tuple in a bounded
-``functools.lru_cache``, so every estimate is one n-term sum over the
-samples: each product is rounded once and the real and imaginary parts
-are summed exactly with ``math.fsum``.  One table holds the Chebyshev
-values at the nodes, T_j(2u_i - 1) = cos(j (2i+1) pi / 2n), each read
-from cos(m pi / 2n), m < 4n, at the exactly reduced m = j (2i+1) mod 4n
-(``_cosine_rows``): its row j = 1 gives the nodes, its columns the weights
-on a cache miss, and its rows an opaque derivative's coefficients.
+``functools.lru_cache``.  Every estimate is one dot of a rule's weights
+with the samples (``_dot``): each product is rounded once and the real
+and imaginary parts are summed exactly with ``math.fsum``.  One table
+holds the Chebyshev values at the nodes, T_j(2u_i - 1) =
+cos(j (2i+1) pi / 2n), each read from cos(m pi / 2n), m < 4n, at the
+exactly reduced m = j (2i+1) mod 4n (``_cosine_rows``): its row j = 1
+gives the nodes, its columns the weights on a cache miss, and its rows an
+opaque derivative's coefficients.
 First-kind nodes are symmetric, 1 - u_i = u_(n-1-i), and
 T_j(2u_(n-1-i) - 1) = (-1)^j T_j(2u_i - 1), so one even-j and one odd-j
 partial sum per node (each summed with fsum) give both w_i and
@@ -52,13 +53,22 @@ while the cofactor is analytic; on the left panel, rescaled to v = 2u,
 the roles swap: (1 - v/2)^(s-1) joins the cofactor g(v/2) / (v/2)^p and
 v^p is absorbed by the power weights of sigma = p+1.  Both cofactors are
 then analytic in a Bernstein ellipse with parameter 3 + 2*sqrt(2), so
-the interpolation converges geometrically regardless of p and s.
+the interpolation converges geometrically regardless of p and s.  The
+two panels fold into one rule of 2n nodes and weights (``_rule``): with
+v_i the n Chebyshev nodes, the nodes v_i/2 and then 1/2 + v_i/2, and the
+weights (1/2)^(p+1) W_i (1 - v_i/2)^(s-1) / (v_i/2)^p, W the power
+weights of sigma = p+1, and then (1/2)^s times the kernel weights
+reversed.  An estimate is one dot of these weights with the 2n samples
+of g, as on the unsplit rule, whose nodes are the n Chebyshev nodes and
+whose weights are the kernel weights reversed.
 
-The left panel's factors (1 - v/2)^(s-1) and (v/2)^p at the n nodes depend
-only on (s, p, n), not on x or the integrand.  They are built once per
-ladder size of an integral, and a derivative builds them once for all of
-its stencil integrals, which share the order k - s and the exponent p.
-The table lives for one call: no cache holds it.
+A rule depends only on (s, p, n), not on x or the integrand, and a split
+one costs 2n + 2 complex powers.  It is built on first use into a table
+keyed by n that integrals of the same s and p may share: an integral
+builds its own, a derivative's stencil integrals share one (they all
+have the order k - s and the exponent p), and a power-sum derivative over
+a grid keeps one per term for every point (``evaluation.apply``).  The
+table ends with the call that made it: no cache holds it.
 
 The degree walks the fixed ladder 32, 64, 128, 256 until two successive
 estimates agree to ``cfg.rel_tol``, so every returned value rests on an
@@ -222,37 +232,49 @@ _FD_STEP_SCALE = 0.01
 _RICHARDSON_LEVELS = 3
 
 
+def _rule(s: complex, n: int, p: complex | None) -> tuple[Sequence[float], Sequence[complex]]:
+    """Nodes and weights of the n-point rule for int_0^1 (1-u)^(s-1) g(u) du.
+
+    Without a singular exponent p these are ``_nodes(n)`` and the kernel
+    weights reversed.  With one, the split at _SPLIT gives 2n of each: the
+    left panel's v_i/2 with weights (1/2)^(p+1) W_i (1 - v_i/2)^(s-1) /
+    (v_i/2)^p, W the power weights of sigma = p+1, then the right panel's
+    1/2 + v_i/2 with the kernel weights reversed times (1/2)^s, where v_i
+    are the nodes (module docstring).  A (v_i/2)^p that underflows to 0
+    raises ZeroDivisionError.
+    """
+    nodes = _nodes(n)
+    if p is None:
+        return nodes, _weights(s, n)[::-1]
+    left = complex_pow(_SPLIT, p + 1.0)
+    right = complex_pow(1.0 - _SPLIT, s)
+    weights = [
+        left * w * complex_pow(1.0 - _SPLIT * v, s - 1.0) / complex_pow(_SPLIT * v, p)
+        for w, v in zip(_weights(p + 1.0, n), nodes)
+    ]
+    weights += [right * w for w in reversed(_weights(s, n))]
+    return [_SPLIT * v for v in nodes] + [_SPLIT + (1.0 - _SPLIT) * v for v in nodes], weights
+
+
 def _integral01(
     g: Callable[[float], complex],
     s: complex,
     n: int,
     singular_exponent: complex | None,
-    factors: dict[int, tuple[list[complex], list[complex]]] | None = None,
+    rules: dict[int, tuple[Sequence[float], Sequence[complex]]] | None = None,
 ) -> complex:
-    """int_0^1 (1-u)^(s-1) g(u) du from n samples of g; a singular exponent
-    splits it at _SPLIT into a kernel and a power panel (module docstring).
+    """int_0^1 (1-u)^(s-1) g(u) du from the samples of g at the nodes of
+    ``_rule(s, n, singular_exponent)``: one dot with its weights.
 
-    ``factors`` maps n to the left panel's (1 - v/2)^(s-1) and (v/2)^p at
-    the nodes, filled on first use; integrals of the same s and p may share
-    it.  None keeps them to this call.
+    ``rules`` maps n to that rule, filled on first use; integrals of the
+    same s and singular exponent may share it.  None keeps it to this call.
     """
-    nodes = _nodes(n)
-    kernel = _weights(s, n)[::-1]
-    p = singular_exponent
-    if p is None:
-        return _dot(kernel, [g(u) for u in nodes])
-    right = complex_pow(1.0 - _SPLIT, s) * _dot(kernel, [g(_SPLIT + (1.0 - _SPLIT) * w) for w in nodes])
-    if factors is None:
-        factors = {}
-    if n not in factors:
-        factors[n] = (
-            [complex_pow(1.0 - _SPLIT * v, s - 1.0) for v in nodes],
-            [complex_pow(_SPLIT * v, p) for v in nodes],
-        )
-    cofactors, powers = factors[n]
-    values = [c * (g(_SPLIT * v) / w) for c, v, w in zip(cofactors, nodes, powers)]
-    left = complex_pow(_SPLIT, p + 1.0) * _dot(_weights(p + 1.0, n), values)
-    return left + right
+    if rules is None:
+        rules = {}
+    if n not in rules:
+        rules[n] = _rule(s, n, singular_exponent)
+    nodes, weights = rules[n]
+    return _dot(weights, [g(u) for u in nodes])
 
 
 def _plateau_cutoff(coeffs: Sequence[complex]) -> int | None:
@@ -385,7 +407,7 @@ def integrate_numeric(
     cfg: QuadConfig | None = None,
     *,
     singular_exponent: complex | None = None,
-    _factors: dict[int, tuple[list[complex], list[complex]]] | None = None,
+    _rules: dict[int, tuple[Sequence[float], Sequence[complex]]] | None = None,
 ) -> complex:
     """Integral of order ``s`` (Re(s) > 0) of ``f`` from ``x0``, at ``x``.
 
@@ -394,9 +416,10 @@ def integrate_numeric(
     case the singular factor is integrated analytically (a u^p that
     underflows to 0 at a node raises DomainError).  A ConvergenceError
     carries the best estimate of this integral (normalization included).
-    The private ``_factors`` is a left-panel factor table shared by
-    integrals of the same ``s`` and ``singular_exponent`` (``_integral01``);
-    by default this integral builds its own.
+    Each estimate is one dot of the samples with a rule built once per
+    ladder size (``_rule``).  The private ``_rules`` is a table of those
+    rules shared by integrals of the same ``s`` and ``singular_exponent``;
+    by default this integral builds its own, which ends with the call.
     """
     s = complex(s)
     if cfg is None:
@@ -418,10 +441,10 @@ def integrate_numeric(
     # underflows, past |Im s| ~ 450, and an s next to 0 raises PoleError.
     factor = complex_pow(scale, s) * _exp(-log_gamma(s), s.imag == 0.0)
     try:
-        return _converge(lambda n: _integral01(g, s, n, p, _factors), cfg, factor)
+        return _converge(lambda n: _integral01(g, s, n, p, _rules), cfg, factor)
     except ZeroDivisionError as exc:
-        # The left-panel cofactor g(u) / u^p, once u^p underflows to 0.
-        raise DomainError(f"division by zero sampling the integrand: {exc}") from exc
+        # A left-panel weight's division by (v/2)^p, once it underflows to 0.
+        raise DomainError(f"division by zero in the rule or the integrand: {exc}") from exc
 
 
 def central_derivative(
@@ -476,6 +499,7 @@ def differentiate_numeric(
     cfg: QuadConfig | None = None,
     *,
     singular_exponent: complex | None = None,
+    _rules: dict[int, tuple[Sequence[float], Sequence[complex]]] | None = None,
 ) -> complex:
     """Derivative of order ``s`` of ``f`` at ``x``: D^k of the (k-s)-integral.
 
@@ -486,8 +510,11 @@ def differentiate_numeric(
     amplifies inner noise by h^-k; an inner integral that reaches only
     rel_tol itself within the degree budget contributes its best estimate
     instead of failing.  The 6, 7 or 12 inner integrals (k = 1, 2, 3) share
-    one table of left-panel factors, so each value equals a standalone
-    ``integrate_numeric`` call to the last bit.
+    one table of rules (``_rule``), so each value equals a standalone
+    ``integrate_numeric`` call to the last bit.  The private ``_rules`` is
+    that table, for a caller that takes this derivative of integrands with
+    the same ``singular_exponent`` at several points with the same ``s``
+    and ``k``; by default this call builds its own.
     """
     s = complex(s)
     if cfg is None:
@@ -498,13 +525,13 @@ def differentiate_numeric(
         raise DomainError(f"need integer k > Re(s); got k={k}, s={s!r}")
     inner_cfg = QuadConfig(rel_tol=max(cfg.rel_tol * 1e-3, 1e-13))
     # Every stencil integral has order k - s and exponent p, so they share
-    # one table of left-panel factors, built once per ladder size.
-    factors: dict[int, tuple[list[complex], list[complex]]] = {}
+    # one table of rules, built once per ladder size.
+    rules = {} if _rules is None else _rules
 
     def inner(u: float) -> complex:
         try:
             return integrate_numeric(
-                f, k - s, u, x0, inner_cfg, singular_exponent=singular_exponent, _factors=factors
+                f, k - s, u, x0, inner_cfg, singular_exponent=singular_exponent, _rules=rules
             )
         except ConvergenceError as exc:
             if exc.achieved_rel_err <= cfg.rel_tol:

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -142,15 +143,55 @@ def test_underflowing_power_cofactor_is_a_domain_error(method):
     assert [r.value for r in results] == [None, None]
     (r,) = apply(expr, parse_function("x^(70)"), [1.0], method)
     assert r.status is EvalStatus.OK
-    # A derivative's stencil integrals share one factor table: the 0 stored
-    # there still fails the point.  Finite differences certify no accuracy,
-    # so x^70 need only get a value.
+    # A derivative's stencil integrals share one table of rules; the rule
+    # that divides by the 0 raises while it is built and fails the point.
+    # Finite differences certify no accuracy, so x^70 need only get a value.
     expr = parse_operator("D^(0.5)")
     results = apply(expr, f, [1.0, 2.0], method)
     assert [r.status for r in results] == [EvalStatus.DOMAIN_ERROR] * 2
     assert [r.value for r in results] == [None, None]
     (r,) = apply(expr, parse_function("x^(70)"), [1.0], method)
     assert r.value is not None
+
+
+def _counting_rules(monkeypatch):
+    """Record the (s, n, p) of every rule ``quadrature._rule`` is asked to build."""
+    built = []
+    original = quadrature._rule
+
+    def counting(s, n, p):
+        built.append((s, n, p))
+        return original(s, n, p)
+
+    monkeypatch.setattr(quadrature, "_rule", counting)
+    return built
+
+
+def test_power_derivative_grid_builds_each_terms_rules_once(monkeypatch):
+    # Every stencil integral of a term, at every point of the grid, has the
+    # order k - s and the term's exponent: one rule per term and ladder size
+    # serves the whole apply call.
+    built = _counting_rules(monkeypatch)
+    f = parse_function("x^(1.5) + (0.5-1i)*x^(0.5+0.5i)")
+    xs = [0.5 + 0.3 * i for i in range(6)]
+    results = apply(parse_operator("D^(2.25)"), f, xs, Method.NUMERIC)
+    assert all(r.value is not None for r in results)
+    assert set(Counter(built).values()) == {1}
+    assert {p for _, _, p in built} == {1.5, 0.5 + 0.5j}
+    assert {s for s, _, _ in built} == {3 - 2.25}
+    for p in (1.5, 0.5 + 0.5j):
+        assert {32, 64} <= {n for _, n, q in built if q == p} <= {32, 64, 128, 256}
+
+
+def test_underflowing_power_factor_fails_every_point_of_a_derivative_grid(monkeypatch):
+    # The size-64 rule of x^80 divides by a (v/2)^80 that underflows to 0.
+    # Building it raises at every point and stores nothing in the grid's
+    # shared table, so no point after the first is spared the failure.
+    built = _counting_rules(monkeypatch)
+    results = apply(parse_operator("D^(0.5)"), parse_function("x^(80)"), [0.5, 0.75, 1.0], Method.NUMERIC)
+    assert [r.status for r in results] == [EvalStatus.DOMAIN_ERROR] * 3
+    assert [r.value for r in results] == [None] * 3
+    assert Counter(n for _, n, _ in built) == {32: 1, 64: 3}
 
 
 def test_exp_numeric_integer_order_both():

@@ -29,6 +29,7 @@ from complexorder.quadrature import (
     _endpoint_images,
     _integral01,
     _plateau_cutoff,
+    _rule,
     _weights,
     central_derivative,
     cheb_nodes01,
@@ -117,6 +118,22 @@ def test_weights_integrate_low_powers_exactly():
             for k in range(8):
                 assert rel(np.sum(w * u**k), 1 / (s + k)) <= 1e-14
                 assert rel(np.sum(w[::-1] * u**k), beta(s, k + 1.0)) <= 1e-12
+
+
+def test_split_rule_integrates_powers_against_the_kernel():
+    # The split rule's 2n weights dotted with u^(p+m) at its 2n nodes give
+    # int_0^1 (1-u)^(s-1) u^(p+m) du = B(s, p+m+1): the left panel's power
+    # weights absorb u^p, and both panels' cofactors are analytic.
+    for n in (32, 64):
+        for s in (0.5 + 0j, 1.25 + 0.75j, 2.5 - 1j, 0.3 + 3j):
+            for p in (0j, 0.5 + 0j, -0.4 + 1j, 2.7 + 2j):
+                nodes, weights = _rule(s, n, p)
+                assert len(nodes) == len(weights) == 2 * n
+                for m in range(21):
+                    got = sum(w * complex_pow(u, p + m) for w, u in zip(weights, nodes))
+                    assert rel(got, beta(s, p + m + 1.0)) <= 1e-13
+    # Without a singular exponent the rule is the reversed kernel weights.
+    assert _rule(0.5 + 1j, 32, None) == (cheb_nodes01(32), _weights(0.5 + 1j, 32)[::-1])
 
 
 # ------------------------------------------------------------- integration
@@ -435,7 +452,7 @@ def test_central_derivative_evaluates_the_centre_node_once():
     ],
 )
 def test_differentiate_numeric_equals_separate_stencil_integrals(s, p, x, k):
-    # The stencil integrals share one left-panel factor table; each must
+    # The stencil integrals share one table of rules; each must
     # equal a standalone integral to the last bit.
     cfg = QuadConfig(rel_tol=1e-9)
     inner_cfg = QuadConfig(rel_tol=max(1e-3 * cfg.rel_tol, 1e-13))
@@ -449,9 +466,9 @@ def test_differentiate_numeric_equals_separate_stencil_integrals(s, p, x, k):
 
 def test_differentiate_numeric_builds_left_panel_factors_once_per_size(monkeypatch):
     # A k = 3 derivative runs 12 stencil integrals, each on the ladder sizes
-    # 32 and 64.  Each integral makes 5 powers of its own: (x - x0)^(k-s)
-    # once, and (1/2)^(k-s) and (1/2)^(p+1) per size.  The 2n left-panel
-    # factors per size are built once for all 12.
+    # 32 and 64.  Each integral makes 1 power of its own, (x - x0)^(k-s).
+    # The rule of each size makes 2n + 2: the 2n left-panel factors and the
+    # scales (1/2)^(p+1) and (1/2)^(k-s), built once for all 12.
     calls = [0]
     original = quadrature.complex_pow
 
@@ -462,7 +479,7 @@ def test_differentiate_numeric_builds_left_panel_factors_once_per_size(monkeypat
     monkeypatch.setattr(quadrature, "complex_pow", counting)
     p = 1.5
     got = differentiate_numeric(lambda y: y**p, 2.25, 1.5, 0.0, 3, singular_exponent=p)
-    assert calls[0] == 2 * (32 + 64) + 12 * 5
+    assert calls[0] == (2 * 32 + 2) + (2 * 64 + 2) + 12 * 1
     coef, exponent = power_image(p, -2.25)
     assert rel(got, coef * complex_pow(1.5, exponent)) <= 1e-6
 
@@ -473,7 +490,7 @@ def test_relaxed_inner_tightens_and_accepts_only_the_callers_tolerance(monkeypat
     seen = []
     achieved = [1e-10]
 
-    def integral(f, s, u, x0, inner_cfg, *, singular_exponent=None, _factors=None):
+    def integral(f, s, u, x0, inner_cfg, *, singular_exponent=None, _rules=None):
         seen.append(inner_cfg.rel_tol)
         raise ConvergenceError("no", best_estimate=u * u + 0j, achieved_rel_err=achieved[0])
 
