@@ -113,23 +113,19 @@ def _numeric_evaluator(sigma: complex, f, cfg: _quad.QuadConfig):
             return _raising(exc, before=math.exp)  # an overflow stays the point's own
         return lambda x: coef * math.exp(x) * at_zero
     # Each power term declares its exponent, so its singularity at x0 is
-    # integrated exactly.  A derivative's stencil integrals all have the
-    # order k + sigma, so each term keeps one table of quadrature rules for
-    # every point of this call; an integral builds its own at each point.
+    # integrated exactly.
     terms = [
-        (lambda y, _c=t.coef, _p=t.exponent: _c * complex_pow(y - x0, _p), t.exponent, {})
+        (lambda y, _c=t.coef, _p=t.exponent: _c * complex_pow(y - x0, _p), t.exponent)
         for t in f.terms
     ]
 
     def power_sum(x: float) -> complex:
         total = 0j
-        for g, p, rules in terms:
+        for g, p in terms:
             if k == 0:
                 total += _quad.integrate_numeric(g, sigma, x, x0, cfg, singular_exponent=p)
             else:
-                total += _quad.differentiate_numeric(
-                    g, -sigma, x, x0, k, cfg, singular_exponent=p, _rules=rules
-                )
+                total += _quad.differentiate_numeric(g, -sigma, x, x0, k, cfg, singular_exponent=p)
         return total
 
     return power_sum

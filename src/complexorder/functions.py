@@ -107,6 +107,8 @@ class CausalFunction(namedtuple("CausalFunction", "terms exp_coef lower_limit"))
                 return 0j
             xi = x - x0
             return sum((t.coef * complex_pow(xi, t.exponent) for t in self.terms), 0j)
+        if self.exp_coef == 0:
+            return 0j  # the zero function, also where e^x overflows
         return self.exp_coef * math.exp(x)
 
     def render(self) -> str:

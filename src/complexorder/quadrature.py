@@ -47,9 +47,9 @@ of sigma = s reversed.  The module uses only the standard library.
 
 When the integrand is known to carry a power factor (y - x0)^p at the
 lower endpoint (every symbolic power term does), passing
-``singular_exponent=p`` splits [0, 1] at 1/2 (``_integral01``): on the
-right panel the kernel weights absorb the singular-oscillatory kernel
-while the cofactor is analytic; on the left panel, rescaled to v = 2u,
+``singular_exponent=p`` splits [0, 1] at 1/2: on the right panel the
+kernel weights absorb the singular-oscillatory kernel while the cofactor
+is analytic; on the left panel, rescaled to v = 2u,
 the roles swap: (1 - v/2)^(s-1) joins the cofactor g(v/2) / (v/2)^p and
 v^p is absorbed by the power weights of sigma = p+1.  Both cofactors are
 then analytic in a Bernstein ellipse with parameter 3 + 2*sqrt(2), so
@@ -63,12 +63,12 @@ of g, as on the unsplit rule, whose nodes are the n Chebyshev nodes and
 whose weights are the kernel weights reversed.
 
 A rule depends only on (s, p, n), not on x or the integrand, and a split
-one costs 2n + 2 complex powers.  It is built on first use into a table
-keyed by n that integrals of the same s and p may share: an integral
-builds its own, a derivative's stencil integrals share one (they all
-have the order k - s and the exponent p), and a power-sum derivative over
-a grid keeps one per term for every point (``evaluation.apply``).  The
-table ends with the call that made it: no cache holds it.
+one costs 2n + 2 complex powers.  This module decides how long a rule
+lives.  An integral builds its own rule at each ladder size.  The stencil
+integrals of a derivative all have the order k - s and the exponent p, so
+they read their rules from a bounded ``functools.lru_cache``
+(``_shared_rule``), which keeps them for every point of a grid and every
+later call with the same (s, p).
 
 The degree walks the fixed ladder 32, 64, 128, 256 until two successive
 estimates agree to ``cfg.rel_tol``, so every returned value rests on an
@@ -256,25 +256,16 @@ def _rule(s: complex, n: int, p: complex | None) -> tuple[Sequence[float], Seque
     return [_SPLIT * v for v in nodes] + [_SPLIT + (1.0 - _SPLIT) * v for v in nodes], weights
 
 
-def _integral01(
-    g: Callable[[float], complex],
-    s: complex,
-    n: int,
-    singular_exponent: complex | None,
-    rules: dict[int, tuple[Sequence[float], Sequence[complex]]] | None = None,
-) -> complex:
-    """int_0^1 (1-u)^(s-1) g(u) du from the samples of g at the nodes of
-    ``_rule(s, n, singular_exponent)``: one dot with its weights.
-
-    ``rules`` maps n to that rule, filled on first use; integrals of the
-    same s and singular exponent may share it.  None keeps it to this call.
-    """
-    if rules is None:
-        rules = {}
-    if n not in rules:
-        rules[n] = _rule(s, n, singular_exponent)
-    nodes, weights = rules[n]
-    return _dot(weights, [g(u) for u in nodes])
+# One entry per (order, size, exponent): a derivative of a three-term power
+# sum needs at most 12 at a time, one per term and ladder size.
+@functools.lru_cache(maxsize=16)
+def _shared_rule(
+    s: complex, n: int, p: complex | None
+) -> tuple[Sequence[float], Sequence[complex]]:
+    """``_rule(s, n, p)``, kept for every integral that asks for it again:
+    the stencil integrals of a derivative, at every point and every call
+    with the same order and exponent.  Callers must not mutate it."""
+    return _rule(s, n, p)
 
 
 def _plateau_cutoff(coeffs: Sequence[complex]) -> int | None:
@@ -407,7 +398,7 @@ def integrate_numeric(
     cfg: QuadConfig | None = None,
     *,
     singular_exponent: complex | None = None,
-    _rules: dict[int, tuple[Sequence[float], Sequence[complex]]] | None = None,
+    _shared: bool = False,
 ) -> complex:
     """Integral of order ``s`` (Re(s) > 0) of ``f`` from ``x0``, at ``x``.
 
@@ -416,10 +407,10 @@ def integrate_numeric(
     case the singular factor is integrated analytically (a u^p that
     underflows to 0 at a node raises DomainError).  A ConvergenceError
     carries the best estimate of this integral (normalization included).
-    Each estimate is one dot of the samples with a rule built once per
-    ladder size (``_rule``).  The private ``_rules`` is a table of those
-    rules shared by integrals of the same ``s`` and ``singular_exponent``;
-    by default this integral builds its own, which ends with the call.
+    Each estimate is one dot of the samples with the rule of its ladder
+    size (``_rule``), which this call builds; the private ``_shared`` takes
+    it from the bounded cache ``_shared_rule`` instead, for callers that
+    ask for the same rule again.
     """
     s = complex(s)
     if cfg is None:
@@ -440,8 +431,14 @@ def integrate_numeric(
     # 1/Gamma(s) in log space: it overflows (OverflowError) where Gamma(s)
     # underflows, past |Im s| ~ 450, and an s next to 0 raises PoleError.
     factor = complex_pow(scale, s) * _exp(-log_gamma(s), s.imag == 0.0)
+    rule = _shared_rule if _shared else _rule
+
+    def estimate(n: int) -> complex:
+        nodes, weights = rule(s, n, p)
+        return _dot(weights, [g(u) for u in nodes])
+
     try:
-        return _converge(lambda n: _integral01(g, s, n, p, _rules), cfg, factor)
+        return _converge(estimate, cfg, factor)
     except ZeroDivisionError as exc:
         # A left-panel weight's division by (v/2)^p, once it underflows to 0.
         raise DomainError(f"division by zero in the rule or the integrand: {exc}") from exc
@@ -499,7 +496,6 @@ def differentiate_numeric(
     cfg: QuadConfig | None = None,
     *,
     singular_exponent: complex | None = None,
-    _rules: dict[int, tuple[Sequence[float], Sequence[complex]]] | None = None,
 ) -> complex:
     """Derivative of order ``s`` of ``f`` at ``x``: D^k of the (k-s)-integral.
 
@@ -509,12 +505,12 @@ def differentiate_numeric(
     at rel_tol tightened by 1e-3 (floor 1e-13), because the k-th difference
     amplifies inner noise by h^-k; an inner integral that reaches only
     rel_tol itself within the degree budget contributes its best estimate
-    instead of failing.  The 6, 7 or 12 inner integrals (k = 1, 2, 3) share
-    one table of rules (``_rule``), so each value equals a standalone
-    ``integrate_numeric`` call to the last bit.  The private ``_rules`` is
-    that table, for a caller that takes this derivative of integrands with
-    the same ``singular_exponent`` at several points with the same ``s``
-    and ``k``; by default this call builds its own.
+    instead of failing.  The 6, 7 or 12 inner integrals (k = 1, 2, 3) all
+    have the order k - s and the exponent ``singular_exponent``, so they
+    take their rules from the bounded cache ``_shared_rule``: one per
+    ladder size for this call, and for later calls at other points with
+    the same s, k and exponent.  Each value equals a standalone
+    ``integrate_numeric`` call to the last bit.
     """
     s = complex(s)
     if cfg is None:
@@ -524,14 +520,11 @@ def differentiate_numeric(
     if k < 1 or k <= s.real:
         raise DomainError(f"need integer k > Re(s); got k={k}, s={s!r}")
     inner_cfg = QuadConfig(rel_tol=max(cfg.rel_tol * 1e-3, 1e-13))
-    # Every stencil integral has order k - s and exponent p, so they share
-    # one table of rules, built once per ladder size.
-    rules = {} if _rules is None else _rules
 
     def inner(u: float) -> complex:
         try:
             return integrate_numeric(
-                f, k - s, u, x0, inner_cfg, singular_exponent=singular_exponent, _rules=rules
+                f, k - s, u, x0, inner_cfg, singular_exponent=singular_exponent, _shared=True
             )
         except ConvergenceError as exc:
             if exc.achieved_rel_err <= cfg.rel_tol:

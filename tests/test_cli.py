@@ -227,6 +227,61 @@ def test_x0_must_be_a_number(capture):
     assert err.startswith("usage error: argument --x0")
 
 
+@pytest.mark.parametrize(
+    "grid,message",
+    [
+        ("1:2", "--grid must be a:b:n"),
+        ("a:b:3", "--grid must be a:b:n with numeric fields"),
+        ("0:1:0", "--grid needs n >= 1"),
+    ],
+)
+def test_grid_spec_usage_errors(capture, grid, message):
+    code, out, err = capture(["eval", "--op", "J^(0.5)", "--fn", "x", "--grid", grid])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"usage error: {message}")
+
+
+def test_grid_of_one_point_is_its_start(capture):
+    code, out, _ = capture(
+        ["eval", "--op", "J^(0.5)", "--fn", "x", "--grid", "0.5:2:1", "--method", "closed"]
+    )
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 1
+    assert rows[0].startswith("0.5,")
+
+
+@pytest.mark.parametrize("x0", ["nan", "inf"])
+def test_x0_must_be_finite_or_minus_inf(capture, x0):
+    code, out, err = capture(["eval", "--op", "J^(0.5)", "--fn", "x", "--x0", x0, "--at", "1"])
+    assert code == 2
+    assert out == ""
+    assert "lower limit must be finite or -inf" in err
+
+
+@pytest.mark.parametrize("method", ["numeric", "both", "closed"])
+def test_zero_function_from_minus_inf_exits_0(capture, method):
+    # No exp(x) to overflow: an ok 0 at every point, also past x = 709.78.
+    code, out, _ = capture(
+        [
+            "eval",
+            "--op", "J^(0.5)",
+            "--fn", "exp(x) - exp(x)",
+            "--x0", "-inf",
+            "--grid", "700:800:3",
+            "--method", method,
+        ]
+    )
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    if method == "both":
+        assert rows[-1] == "800.0,0.0,0.0,0.0,0.0,0.0,,ok"
+    assert [row.split(",")[:3] for row in rows] == [
+        [x, "0.0", "0.0"] for x in ("700.0", "750.0", "800.0")
+    ]
+
+
 def test_exit_code_domain_error(capture):
     # exp(x) with a finite lower limit is rejected as a domain violation
     code, _, err = capture(["eval", "--op", "J^(1)", "--fn", "exp(x)", "--at", "2"])

@@ -20,7 +20,7 @@ from complexorder import (
     parse_operator,
 )
 from complexorder import quadrature
-from complexorder.quadrature import _cosine_rows, _endpoint_images, _weights
+from complexorder.quadrature import _cosine_rows, _endpoint_images, _shared_rule, _weights
 
 
 def rel(a, b):
@@ -123,6 +123,27 @@ def test_overflow_at_a_point_is_a_domain_error(method):
 
 
 @pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("fn", ["exp(x) - exp(x)", "0*exp(x)"])
+def test_zero_function_from_minus_inf_is_zero_where_exp_overflows(fn, method):
+    # The zero function has no exp(x) to overflow: every point is an ok 0.
+    expr = parse_operator("J^(0.5)", lower_limit=-math.inf)
+    f = parse_function(fn, lower_limit=-math.inf)
+    results = apply(expr, f, [700.0, 750.0, 800.0], method)
+    assert [r.status for r in results] == [EvalStatus.OK] * 3
+    assert [r.value for r in results] == [0j] * 3
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_closed_form_domain_error_fails_every_point(method):
+    # J^(0.5) of x^(-1.5) has no closed image (Gamma(p + s + 1) at its pole
+    # 0) and no numeric one (Re p <= -1): every row is a domain error.
+    expr = parse_operator("J^(0.5)")
+    results = apply(expr, parse_function("x^(-1.5)"), [0.5, 1.25, 2.0], method)
+    assert [r.status for r in results] == [EvalStatus.DOMAIN_ERROR] * 3
+    assert [(r.value, r.reference) for r in results] == [(None, None)] * 3
+
+
+@pytest.mark.parametrize("method", list(Method))
 def test_infinite_point_is_a_domain_error(method):
     # (x - x0)^s has no value at x = inf; the finite point keeps its value.
     expr = parse_operator("J^(0.5)")
@@ -143,8 +164,8 @@ def test_underflowing_power_cofactor_is_a_domain_error(method):
     assert [r.value for r in results] == [None, None]
     (r,) = apply(expr, parse_function("x^(70)"), [1.0], method)
     assert r.status is EvalStatus.OK
-    # A derivative's stencil integrals share one table of rules; the rule
-    # that divides by the 0 raises while it is built and fails the point.
+    # A derivative's stencil integrals share their rules; the rule that
+    # divides by the 0 raises while it is built and fails the point.
     # Finite differences certify no accuracy, so x^70 need only get a value.
     expr = parse_operator("D^(0.5)")
     results = apply(expr, f, [1.0, 2.0], method)
@@ -155,7 +176,9 @@ def test_underflowing_power_cofactor_is_a_domain_error(method):
 
 
 def _counting_rules(monkeypatch):
-    """Record the (s, n, p) of every rule ``quadrature._rule`` is asked to build."""
+    """Record the (s, n, p) of every rule ``quadrature._rule`` is asked to
+    build, from an empty cache of shared rules."""
+    _shared_rule.cache_clear()
     built = []
     original = quadrature._rule
 
@@ -169,8 +192,8 @@ def _counting_rules(monkeypatch):
 
 def test_power_derivative_grid_builds_each_terms_rules_once(monkeypatch):
     # Every stencil integral of a term, at every point of the grid, has the
-    # order k - s and the term's exponent: one rule per term and ladder size
-    # serves the whole apply call.
+    # order k - s and the term's exponent: one shared rule per term and
+    # ladder size serves the whole apply call.
     built = _counting_rules(monkeypatch)
     f = parse_function("x^(1.5) + (0.5-1i)*x^(0.5+0.5i)")
     xs = [0.5 + 0.3 * i for i in range(6)]
@@ -183,10 +206,32 @@ def test_power_derivative_grid_builds_each_terms_rules_once(monkeypatch):
         assert {32, 64} <= {n for _, n, q in built if q == p} <= {32, 64, 128, 256}
 
 
+def test_shared_rules_outlive_a_derivative_call_and_integrals_build_their_own(monkeypatch):
+    # The rules of a power-sum derivative are a cache of the quadrature
+    # module, so a second apply call builds none; an integral builds its
+    # rules again at every point.
+    built = _counting_rules(monkeypatch)
+    f = parse_function("x^(1.5) + (0.5-1i)*x^(0.5+0.5i)")
+    xs = [0.5 + 0.3 * i for i in range(6)]
+    expr = parse_operator("D^(2.25)")
+    first = apply(expr, f, xs, Method.NUMERIC)
+    count = len(built)
+    assert apply(expr, f, xs, Method.NUMERIC) == first
+    assert len(built) == count
+    assert set(Counter(built).values()) == {1}
+    del built[:]
+    expr = parse_operator("J^(0.7+0.4i)")
+    first = apply(expr, f, xs, Method.NUMERIC)
+    assert apply(expr, f, xs, Method.NUMERIC) == first
+    per_point = Counter((n, p) for _, n, p in built)
+    assert {n for n, _ in per_point} == {32, 64}
+    assert set(per_point.values()) == {2 * len(xs)}
+
+
 def test_underflowing_power_factor_fails_every_point_of_a_derivative_grid(monkeypatch):
     # The size-64 rule of x^80 divides by a (v/2)^80 that underflows to 0.
-    # Building it raises at every point and stores nothing in the grid's
-    # shared table, so no point after the first is spared the failure.
+    # Building it raises at every point and the cache of shared rules keeps
+    # nothing, so no point after the first is spared the failure.
     built = _counting_rules(monkeypatch)
     results = apply(parse_operator("D^(0.5)"), parse_function("x^(80)"), [0.5, 0.75, 1.0], Method.NUMERIC)
     assert [r.status for r in results] == [EvalStatus.DOMAIN_ERROR] * 3
@@ -536,8 +581,9 @@ def test_result_order_matches_xs_order():
 
 def test_concurrent_grids_match_serial_run():
     # Threads share the quadrature caches (product-integration weights,
-    # Chebyshev rows, endpoint images), starting empty so that they race
-    # on their misses; every result must equal the serial run's exactly.
+    # Chebyshev rows, endpoint images, a derivative's shared rules),
+    # starting empty so that they race on their misses; every result must
+    # equal the serial run's exactly.
     grids = [
         (parse_operator("J^(0.7+0.4i)"), parse_function("2*x^(0.5) + x^(1+1i)"), Method.BOTH),
         (
@@ -550,6 +596,11 @@ def test_concurrent_grids_match_serial_run():
             parse_function("exp(x)", lower_limit=-math.inf),
             Method.NUMERIC,
         ),
+        (
+            parse_operator("D^(1.3+0.2i)"),
+            parse_function("x^(1.5) + (0.5-1i)*x^(0.5+0.5i)"),
+            Method.BOTH,
+        ),
     ]
     xs = [0.3, 0.9, 1.5, 2.1]
 
@@ -558,7 +609,7 @@ def test_concurrent_grids_match_serial_run():
         return [(r.status, r.value) for r in apply(expr, f, xs, method)]
 
     jobs = range(8 * len(grids))
-    caches = (_weights, _cosine_rows, _endpoint_images)
+    caches = (_weights, _cosine_rows, _endpoint_images, _shared_rule)
     for cache in caches:
         cache.cache_clear()
     serial = [run(job) for job in jobs]

@@ -26,8 +26,8 @@ from complexorder import (
 )
 from complexorder import quadrature
 from complexorder.quadrature import (
+    _dot,
     _endpoint_images,
-    _integral01,
     _plateau_cutoff,
     _rule,
     _weights,
@@ -290,8 +290,13 @@ def test_integrate_linearity_at_fixed_degree():
     def combo(u):
         return a * f(u) + b * g(u)
 
-    lhs = _integral01(combo, s, 48, None)
-    rhs = a * _integral01(f, s, 48, None) + b * _integral01(g, s, 48, None)
+    nodes, weights = _rule(s, 48, None)
+
+    def estimate(h):
+        return _dot(weights, [h(u) for u in nodes])
+
+    lhs = estimate(combo)
+    rhs = a * estimate(f) + b * estimate(g)
     assert rel(lhs, rhs) <= 1e-12
 
 
@@ -452,8 +457,8 @@ def test_central_derivative_evaluates_the_centre_node_once():
     ],
 )
 def test_differentiate_numeric_equals_separate_stencil_integrals(s, p, x, k):
-    # The stencil integrals share one table of rules; each must
-    # equal a standalone integral to the last bit.
+    # The stencil integrals take their rules from the shared cache; each
+    # must equal a standalone integral, which builds its own, to the last bit.
     cfg = QuadConfig(rel_tol=1e-9)
     inner_cfg = QuadConfig(rel_tol=max(1e-3 * cfg.rel_tol, 1e-13))
 
@@ -468,7 +473,9 @@ def test_differentiate_numeric_builds_left_panel_factors_once_per_size(monkeypat
     # A k = 3 derivative runs 12 stencil integrals, each on the ladder sizes
     # 32 and 64.  Each integral makes 1 power of its own, (x - x0)^(k-s).
     # The rule of each size makes 2n + 2: the 2n left-panel factors and the
-    # scales (1/2)^(p+1) and (1/2)^(k-s), built once for all 12.
+    # scales (1/2)^(p+1) and (1/2)^(k-s), built once for all 12.  The
+    # shared rules start empty, so no earlier call has built them.
+    quadrature._shared_rule.cache_clear()
     calls = [0]
     original = quadrature.complex_pow
 
@@ -490,7 +497,7 @@ def test_relaxed_inner_tightens_and_accepts_only_the_callers_tolerance(monkeypat
     seen = []
     achieved = [1e-10]
 
-    def integral(f, s, u, x0, inner_cfg, *, singular_exponent=None, _rules=None):
+    def integral(f, s, u, x0, inner_cfg, *, singular_exponent=None, _shared=False):
         seen.append(inner_cfg.rel_tol)
         raise ConvergenceError("no", best_estimate=u * u + 0j, achieved_rel_err=achieved[0])
 

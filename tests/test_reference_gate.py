@@ -78,3 +78,26 @@ def test_high_order_opaque_derivatives_meet_rel_tol():
         (row,) = apply(parse_operator(op), _integrand(integrand, 0.0), [x], Method.NUMERIC, cfg)
         if row.status is EvalStatus.OK:
             assert abs(row.value - ref) / abs(ref) <= cfg.rel_tol, (op, x, row)
+
+
+def test_complex_opaque_derivatives_meet_rel_tol():
+    # y cos(2y) + i sin(3y) has complex samples, so its Chebyshev
+    # coefficients are complex; its images are those of the real and the
+    # imaginary part, which the frozen references give separately.
+    cfg = QuadConfig()
+    cases = {}
+    for op, integrand, x0, refs in OPERATOR_REFERENCES["opaque", "D"]:
+        assert integrand in (("ycos", 2.0), ("sin", 3.0)) and x0 == 0.0
+        cases.setdefault(op, {})[integrand[0]] = refs
+    f = OpaqueFunction(lambda y: y * math.cos(2.0 * y) + 1j * math.sin(3.0 * y) if y > 0 else 0.0)
+    outside = []
+    for op, refs in cases.items():
+        rows = apply(parse_operator(op), f, GATE_POINTS, Method.NUMERIC, cfg)
+        for row, ref_ycos, ref_sin in zip(rows, refs["ycos"], refs["sin"]):
+            ref = ref_ycos + 1j * ref_sin
+            assert row.status is EvalStatus.OK, (op, row)
+            err = abs(row.value - ref) / abs(ref)
+            if err > cfg.rel_tol:
+                outside.append((op, row.x, err))
+    assert len(cases) == 6
+    assert not outside, outside
