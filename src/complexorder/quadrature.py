@@ -70,13 +70,18 @@ they read their rules from a bounded ``functools.lru_cache``
 (``_shared_rule``), which keeps them for every point of a grid and every
 later call with the same (s, p).
 
-The degree walks the fixed ladder 32, 64, 128, 256 until two successive
-estimates agree to ``cfg.rel_tol``, so every returned value rests on an
-agreeing pair; if none agrees by degree 256, ConvergenceError carries the
-best estimate seen, normalized like a returned value.  Derivatives of
-power sums use k-fold central differences of the inner integral with
-Richardson extrapolation; e^x from -inf needs none, because the integral
-commutes with translation there (see ``integrate_exp_lower_inf``).
+Two fixed ladders of sizes are walked until two successive estimates
+agree to ``cfg.rel_tol``, so every returned value rests on an agreeing
+pair; if none agrees by the last size, ConvergenceError carries the best
+estimate seen, normalized like a returned value.  Every integral walks
+32, 64, 128, 256 (``_DEGREES``), and every derivative walks 24, 32, 48,
+64, 96, 128 (``_DERIVATIVE_SIZES``).  Derivatives of power sums use
+k-fold central differences of the inner integral with Richardson
+extrapolation, and those stencil integrals walk the derivative ladder:
+their cofactors are analytic in the Bernstein ellipse above, so the
+sizes 24 and 32 usually agree to the tightened inner tolerance already.  e^x
+from -inf needs no differences, because the integral commutes with
+translation there (see ``integrate_exp_lower_inf``).
 
 A derivative of an opaque integrand needs no inner integral either
 (``chebyshev_derivative``).  The same Chebyshev basis serves it: the
@@ -86,8 +91,8 @@ term's image at every order, because J^sigma T_j(2u-1) at u = 1 is
 (-1)^j q_j(sigma) / Gamma(sigma), which is entire in sigma; at
 sigma = -s it is D^s T_j(2u-1), the paper's J^sigma = D^(-sigma).  The
 coefficients are chopped at their rounding plateau (Aurentz and
-Trefethen's standardChop), and the sizes 24, 32, 48, 64, 96, 128 are
-walked until two successive chopped expansions agree to ``cfg.rel_tol``.
+Trefethen's standardChop), and the derivative ladder is walked until two
+successive chopped expansions agree to ``cfg.rel_tol``.
 """
 
 from __future__ import annotations
@@ -113,15 +118,17 @@ __all__ = [
 ]
 
 
-# Interpolation sizes of the doubling ladder, walked until two successive
-# estimates agree.
+# The two size ladders, each walked until two successive estimates agree:
+# an integral's doubling ladder, and the finer one of every derivative (the
+# stencil integrals of a power sum's and the expansions of an opaque one's).
 _DEGREES = (32, 64, 128, 256)
+_DERIVATIVE_SIZES = (24, 32, 48, 64, 96, 128)
 
 
 class QuadConfig(namedtuple("QuadConfig", "rel_tol")):
     """Quadrature tolerance: rel_tol (finite, > 0) is the relative agreement
-    that two successive estimates on the degree ladder 32, 64, 128, 256 (the
-    sizes 24 to 128 for a derivative of an opaque integrand) must reach."""
+    that two successive estimates must reach, on the ladder 32, 64, 128, 256
+    of an integral or the sizes 24 to 128 of a derivative."""
 
     __slots__ = ()
 
@@ -223,9 +230,6 @@ def _dot(w: Sequence[complex], values: Sequence[complex]) -> complex:
 
 _SPLIT = 0.5
 _EPS = sys.float_info.epsilon
-# Chebyshev expansion sizes of a derivative of an opaque integrand, walked
-# until two successive chopped expansions agree.
-_DERIVATIVE_SIZES = (24, 32, 48, 64, 96, 128)
 # Finite differences: base step relative to max(1, |x|), and the number of
 # step sizes h, h/2, h/4, ... that Richardson extrapolation combines.
 _FD_STEP_SCALE = 0.01
@@ -256,9 +260,10 @@ def _rule(s: complex, n: int, p: complex | None) -> tuple[Sequence[float], Seque
     return [_SPLIT * v for v in nodes] + [_SPLIT + (1.0 - _SPLIT) * v for v in nodes], weights
 
 
-# One entry per (order, size, exponent): a derivative of a three-term power
-# sum needs at most 12 at a time, one per term and ladder size.
-@functools.lru_cache(maxsize=16)
+# One entry per (order, size, exponent).  A power-sum derivative's stencil
+# integrals mostly stop at the sizes 24 and 32, so 32 entries keep the rules
+# of up to 16 terms from one point to the next, at a few KB each.
+@functools.lru_cache(maxsize=32)
 def _shared_rule(
     s: complex, n: int, p: complex | None
 ) -> tuple[Sequence[float], Sequence[complex]]:
@@ -344,7 +349,7 @@ def _converge(
     estimate: Callable[[int], complex | None],
     cfg: QuadConfig,
     factor: complex,
-    sizes: Sequence[int] = _DEGREES,
+    sizes: Sequence[int],
 ) -> complex:
     """Walk ``sizes`` until two successive estimates agree to cfg.rel_tol,
     and return the later one times ``factor``.
@@ -407,10 +412,12 @@ def integrate_numeric(
     case the singular factor is integrated analytically (a u^p that
     underflows to 0 at a node raises DomainError).  A ConvergenceError
     carries the best estimate of this integral (normalization included).
-    Each estimate is one dot of the samples with the rule of its ladder
-    size (``_rule``), which this call builds; the private ``_shared`` takes
-    it from the bounded cache ``_shared_rule`` instead, for callers that
-    ask for the same rule again.
+    Each estimate is one dot of the samples with the rule of its size
+    (``_rule``), which this call builds, on the ladder 32, 64, 128, 256.
+    The private ``_shared`` marks a derivative's stencil integral: it walks
+    the derivative ladder 24, 32, 48, 64, 96, 128 instead and takes its
+    rules from the bounded cache ``_shared_rule``, for callers that ask for
+    the same rule again.
     """
     s = complex(s)
     if cfg is None:
@@ -431,14 +438,14 @@ def integrate_numeric(
     # 1/Gamma(s) in log space: it overflows (OverflowError) where Gamma(s)
     # underflows, past |Im s| ~ 450, and an s next to 0 raises PoleError.
     factor = complex_pow(scale, s) * _exp(-log_gamma(s), s.imag == 0.0)
-    rule = _shared_rule if _shared else _rule
+    rule, sizes = (_shared_rule, _DERIVATIVE_SIZES) if _shared else (_rule, _DEGREES)
 
     def estimate(n: int) -> complex:
         nodes, weights = rule(s, n, p)
         return _dot(weights, [g(u) for u in nodes])
 
     try:
-        return _converge(estimate, cfg, factor)
+        return _converge(estimate, cfg, factor, sizes)
     except ZeroDivisionError as exc:
         # A left-panel weight's division by (v/2)^p, once it underflows to 0.
         raise DomainError(f"division by zero in the rule or the integrand: {exc}") from exc
@@ -509,8 +516,9 @@ def differentiate_numeric(
     have the order k - s and the exponent ``singular_exponent``, so they
     take their rules from the bounded cache ``_shared_rule``: one per
     ladder size for this call, and for later calls at other points with
-    the same s, k and exponent.  Each value equals a standalone
-    ``integrate_numeric`` call to the last bit.
+    the same s, k and exponent.  They walk the derivative ladder 24, 32,
+    48, 64, 96, 128, not an integral's 32, 64, 128, 256, so a value
+    equals a standalone ``integrate_numeric`` call only on the same ladder.
     """
     s = complex(s)
     if cfg is None:
@@ -557,8 +565,9 @@ def chebyshev_derivative(
     their rounding plateau (``_plateau_cutoff``).  A size resolves nothing
     when they reach none, or when an integer s is at or past the cut while
     the kept ones end less than eps^(-1/2) above the plateau (no polynomial
-    of degree < s).  The sizes 24, 32, 48, 64, 96, 128 are walked until two
-    successive resolved sizes agree to ``cfg.rel_tol``, as in ``_converge``.
+    of degree < s).  The derivative ladder 24, 32, 48, 64, 96, 128 is walked
+    until two successive resolved sizes agree to ``cfg.rel_tol``, as in
+    ``_converge``.
     A sample that is not finite raises DomainError.
     """
     s = complex(s)

@@ -20,7 +20,13 @@ from complexorder import (
     parse_operator,
 )
 from complexorder import quadrature
-from complexorder.quadrature import _cosine_rows, _endpoint_images, _shared_rule, _weights
+from complexorder.quadrature import (
+    _DERIVATIVE_SIZES,
+    _cosine_rows,
+    _endpoint_images,
+    _shared_rule,
+    _weights,
+)
 
 
 def rel(a, b):
@@ -164,14 +170,15 @@ def test_underflowing_power_cofactor_is_a_domain_error(method):
     assert [r.value for r in results] == [None, None]
     (r,) = apply(expr, parse_function("x^(70)"), [1.0], method)
     assert r.status is EvalStatus.OK
-    # A derivative's stencil integrals share their rules; the rule that
-    # divides by the 0 raises while it is built and fails the point.
-    # Finite differences certify no accuracy, so x^70 need only get a value.
+    # A derivative's stencil integrals share their rules, from the size 24
+    # on, where (v/2)^120 underflows too; the rule that divides by the 0
+    # raises while it is built and fails the point.  Finite differences
+    # certify no accuracy, so x^80 need only get a value.
     expr = parse_operator("D^(0.5)")
-    results = apply(expr, f, [1.0, 2.0], method)
+    results = apply(expr, parse_function("x^(120)"), [1.0, 2.0], method)
     assert [r.status for r in results] == [EvalStatus.DOMAIN_ERROR] * 2
     assert [r.value for r in results] == [None, None]
-    (r,) = apply(expr, parse_function("x^(70)"), [1.0], method)
+    (r,) = apply(expr, f, [1.0], method)
     assert r.value is not None
 
 
@@ -203,7 +210,20 @@ def test_power_derivative_grid_builds_each_terms_rules_once(monkeypatch):
     assert {p for _, _, p in built} == {1.5, 0.5 + 0.5j}
     assert {s for s, _, _ in built} == {3 - 2.25}
     for p in (1.5, 0.5 + 0.5j):
-        assert {32, 64} <= {n for _, n, q in built if q == p} <= {32, 64, 128, 256}
+        assert {24, 32} <= {n for _, n, q in built if q == p} <= set(_DERIVATIVE_SIZES)
+
+
+def test_nine_term_power_derivative_builds_each_terms_rules_once(monkeypatch):
+    # Nine terms at the sizes 24 and 32 need 18 shared rules at every
+    # point: the cache holds them all, so no point rebuilds a rule that
+    # the point before it evicted.
+    built = _counting_rules(monkeypatch)
+    f = parse_function(" + ".join(f"x^({0.3 + 0.37 * j:.2f})" for j in range(9)))
+    xs = [0.5 + 0.1 * i for i in range(16)]
+    results = apply(parse_operator("D^(1.4+0.3i)"), f, xs, Method.NUMERIC)
+    assert all(r.value is not None for r in results)
+    assert set(Counter(built).values()) == {1}
+    assert len({p for _, _, p in built}) == 9
 
 
 def test_shared_rules_outlive_a_derivative_call_and_integrals_build_their_own(monkeypatch):
@@ -229,14 +249,14 @@ def test_shared_rules_outlive_a_derivative_call_and_integrals_build_their_own(mo
 
 
 def test_underflowing_power_factor_fails_every_point_of_a_derivative_grid(monkeypatch):
-    # The size-64 rule of x^80 divides by a (v/2)^80 that underflows to 0.
+    # The size-24 rule of x^120 divides by a (v/2)^120 that underflows to 0.
     # Building it raises at every point and the cache of shared rules keeps
     # nothing, so no point after the first is spared the failure.
     built = _counting_rules(monkeypatch)
-    results = apply(parse_operator("D^(0.5)"), parse_function("x^(80)"), [0.5, 0.75, 1.0], Method.NUMERIC)
+    results = apply(parse_operator("D^(0.5)"), parse_function("x^(120)"), [0.5, 0.75, 1.0], Method.NUMERIC)
     assert [r.status for r in results] == [EvalStatus.DOMAIN_ERROR] * 3
     assert [r.value for r in results] == [None] * 3
-    assert Counter(n for _, n, _ in built) == {32: 1, 64: 3}
+    assert Counter(n for _, n, _ in built) == {24: 3}
 
 
 def test_exp_numeric_integer_order_both():
@@ -422,6 +442,19 @@ def test_high_order_power_derivative_meets_rel_tol():
     for r in results:
         assert r.status is EvalStatus.OK, r
         assert r.rel_err <= 1e-9, r
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="finite differences of the stencil integrals are ok at 1.0e-8 to 6.5e-7 off",
+)
+def test_high_power_derivative_meets_rel_tol():
+    # D^0.5 x^80 = Gamma(81)/Gamma(80.5) x^79.5; its stencil integrals stop
+    # below the size whose (v/2)^80 underflows, so every point gets a value.
+    results = apply(parse_operator("D^(0.5)"), parse_function("x^(80)"), [0.5, 1.0, 2.0, 3.0])
+    for r in results:
+        if r.status is EvalStatus.OK:
+            assert r.rel_err <= 1e-9, r
 
 
 def test_exp_lower_inf_grid_makes_one_quadrature(monkeypatch):

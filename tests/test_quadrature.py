@@ -456,25 +456,53 @@ def test_central_derivative_evaluates_the_centre_node_once():
         (0.3 + 0.2j, 0.7 - 0.4j, 0.006, 1),
     ],
 )
-def test_differentiate_numeric_equals_separate_stencil_integrals(s, p, x, k):
-    # The stencil integrals take their rules from the shared cache; each
-    # must equal a standalone integral, which builds its own, to the last bit.
+def test_differentiate_numeric_equals_separate_stencil_integrals(monkeypatch, s, p, x, k):
+    # The stencil integrals walk the derivative ladder and take their rules
+    # from the shared cache; each must equal a standalone integral on the
+    # same ladder, which builds its own rules, to the last bit.
     cfg = QuadConfig(rel_tol=1e-9)
     inner_cfg = QuadConfig(rel_tol=max(1e-3 * cfg.rel_tol, 1e-13))
+    got = differentiate_numeric(monomial(p), s, x, 0.0, k, cfg, singular_exponent=p)
+    monkeypatch.setattr(quadrature, "_DEGREES", quadrature._DERIVATIVE_SIZES)
 
     def inner(u):
         return integrate_numeric(monomial(p), k - s, u, 0.0, inner_cfg, singular_exponent=p)
 
-    expected = central_derivative(inner, x, k, lower_limit=0.0)
-    assert differentiate_numeric(monomial(p), s, x, 0.0, k, cfg, singular_exponent=p) == expected
+    assert got == central_derivative(inner, x, k, lower_limit=0.0)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.25 + 0.5j, 2.5 - 0.3j, 0.05 + 1.9j, 2.95])
+def test_stencil_integrals_meet_a_tight_tolerance_on_the_first_rungs(s):
+    # The cofactors of both split panels are analytic in the Bernstein
+    # ellipse rho = 3 + 2*sqrt(2), so the sizes 24 and 32 of the derivative
+    # ladder agree to 1e-12 already: 2 * (24 + 32) samples per integral.
+    k = math.floor(s.real) + 1
+    sigma = k - s
+    for p in (-0.45, 0.5, 1 + 1j, 3, -0.3 - 1j, 2.9 + 0.9j):
+        for u in (1e-3, 0.006, 0.5, 1.3, 3.4):
+            samples = []
+
+            def f(y):
+                samples.append(y)
+                return complex_pow(y, p)
+
+            got = integrate_numeric(
+                f, sigma, u, 0.0, QuadConfig(1e-12), singular_exponent=p, _shared=True
+            )
+            with mpmath.workdps(30):
+                exact = complex(
+                    mpmath.gamma(p + 1) * mpmath.rgamma(p + 1 + sigma) * mpmath.power(u, p + sigma)
+                )
+            assert rel(got, exact) <= 1e-12, (p, u)
+            assert len(samples) == 2 * (24 + 32)
 
 
 def test_differentiate_numeric_builds_left_panel_factors_once_per_size(monkeypatch):
-    # A k = 3 derivative runs 12 stencil integrals, each on the ladder sizes
-    # 32 and 64.  Each integral makes 1 power of its own, (x - x0)^(k-s).
-    # The rule of each size makes 2n + 2: the 2n left-panel factors and the
-    # scales (1/2)^(p+1) and (1/2)^(k-s), built once for all 12.  The
-    # shared rules start empty, so no earlier call has built them.
+    # A k = 3 derivative runs 12 stencil integrals, each on the derivative
+    # ladder's sizes 24 and 32.  Each integral makes 1 power of its own,
+    # (x - x0)^(k-s).  The rule of each size makes 2n + 2: the 2n left-panel
+    # factors and the scales (1/2)^(p+1) and (1/2)^(k-s), built once for all
+    # 12.  The shared rules start empty, so no earlier call has built them.
     quadrature._shared_rule.cache_clear()
     calls = [0]
     original = quadrature.complex_pow
@@ -486,7 +514,7 @@ def test_differentiate_numeric_builds_left_panel_factors_once_per_size(monkeypat
     monkeypatch.setattr(quadrature, "complex_pow", counting)
     p = 1.5
     got = differentiate_numeric(lambda y: y**p, 2.25, 1.5, 0.0, 3, singular_exponent=p)
-    assert calls[0] == (2 * 32 + 2) + (2 * 64 + 2) + 12 * 1
+    assert calls[0] == (2 * 24 + 2) + (2 * 32 + 2) + 12 * 1
     coef, exponent = power_image(p, -2.25)
     assert rel(got, coef * complex_pow(1.5, exponent)) <= 1e-6
 
