@@ -2,7 +2,9 @@
 
 Each check exercises one of the structural identities the library is built
 on, with seeded random sampling, and reports its worst observed metric
-against a fixed threshold.
+against a fixed threshold.  The acceptance suite runs ``check_semigroup``,
+``check_left_inverse``, ``check_exp_lower_limit`` and ``check_moments`` as
+its criteria 3, 4, 6 and 9 and pins their thresholds.
 """
 
 from __future__ import annotations

@@ -300,30 +300,6 @@ def test_integrate_linearity_at_fixed_degree():
     assert rel(lhs, rhs) <= 1e-12
 
 
-def test_integrate_semigroup_numeric():
-    f = lambda y: complex(y * y + y, 0.0)
-    for s1, s2 in ((0.7 + 0j, 0.6 + 0j), (0.5 + 0.25j, 0.5 - 0.25j)):
-        for x in (0.5, 1.0, 2.0):
-            def inner(u):
-                return integrate_numeric(f, s2, u, 0.0) if u > 0 else 0j
-
-            nested = integrate_numeric(inner, s1, x, 0.0)
-            direct = integrate_numeric(f, s1 + s2, x, 0.0)
-            assert rel(nested, direct) <= 1e-6
-
-
-def test_first_derivative_of_integral_lowers_order():
-    # Central difference of x -> J^s f at x vs direct J^(s-1) f, Re(s) > 1.
-    f = lambda y: complex(y * y + y, 0.0)
-    s = 1.5 + 0.5j
-    x, h = 1.0, 1e-4
-    fd = (
-        integrate_numeric(f, s, x + h, 0.0) - integrate_numeric(f, s, x - h, 0.0)
-    ) / (2 * h)
-    direct = integrate_numeric(f, s - 1, x, 0.0)
-    assert rel(fd, direct) <= 1e-5
-
-
 def test_integrate_shifted_lower_limit():
     p, s, x0 = 0.5 + 1j, 0.75 + 0j, 2.0
     got = integrate_numeric(
@@ -553,12 +529,6 @@ def test_differentiate_numeric_preconditions():
 
 
 # ------------------------------------------------------- exponential tail
-
-
-def test_exp_lower_inf_integer_orders():
-    cfg = QuadConfig(rel_tol=1e-12)
-    assert rel(integrate_exp_lower_inf(1.0, 0.0, cfg), 1.0) <= 1e-10
-    assert rel(integrate_exp_lower_inf(2.0, 1.0, cfg), math.e) <= 1e-10
 
 
 def test_exp_lower_inf_half_order_recorded_value():
